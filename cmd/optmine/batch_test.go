@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"optrule/internal/miner"
+	"optrule/internal/plan"
 )
 
 // validBatch is a well-formed heterogeneous queries file used by the
@@ -131,6 +135,45 @@ func TestBatchEndToEnd(t *testing.T) {
 	err = run([]string{"-in", csv, "-batch", bad}, os.NewFile(0, os.DevNull))
 	if err == nil || !strings.Contains(err.Error(), "1 of 2 queries failed") {
 		t.Errorf("unknown attribute not reported: %v", err)
+	}
+}
+
+// TestBatchOversizedGrid sends a grid side whose square is 10¹² cells
+// through the parser and a session: the query fails alone, with an
+// error reachable through errors.Is, before anything allocates for
+// it, and the batch's other queries still answer.
+func TestBatchOversizedGrid(t *testing.T) {
+	queries, err := ParseBatch([]byte(`[
+	  {"op": "rules", "numeric": "Balance", "objective": "CardLoan"},
+	  {"op": "rules2d", "gridSide": 1000000},
+	  {"op": "rules", "numeric": "Age", "objective": "CardLoan", "buckets": 2000000},
+	  {"op": "rules2d", "numeric": "Balance", "numericB": "Age", "objective": "CardLoan", "gridSide": 16}
+	]`))
+	if err != nil {
+		t.Fatalf("oversized resolutions must parse (the session rejects them): %v", err)
+	}
+	rel, err := openRelation(writeBankCSV(t, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := miner.NewSession(rel, miner.Config{Buckets: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := session.ExecuteBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2} {
+		if !errors.Is(answers[i].Err, plan.ErrResolutionTooLarge) {
+			t.Errorf("answer %d: got %v, want ErrResolutionTooLarge", i, answers[i].Err)
+		}
+	}
+	if answers[0].Err != nil || len(answers[0].Rules) == 0 {
+		t.Errorf("1-D query beside the oversized ones: err %v, %d rules", answers[0].Err, len(answers[0].Rules))
+	}
+	if answers[3].Err != nil || len(answers[3].Rules2D) == 0 {
+		t.Errorf("2-D query beside the oversized ones: err %v, %d rules", answers[3].Err, len(answers[3].Rules2D))
 	}
 }
 

@@ -164,8 +164,12 @@ type Config struct {
 	// PEs, when greater than 1, runs each counting scan with that many
 	// parallel processing elements (Algorithm 3.2) provided the relation
 	// supports range scans. Workers parallelizes ACROSS attributes; PEs
-	// parallelizes WITHIN one attribute's scan — useful when mining a
-	// single attribute pair of a large relation.
+	// segments WITHIN one attribute's scan — useful when mining a
+	// single attribute pair of a large relation. PEs sets row
+	// segmentation only: a session's unsegmented heterogeneous counting
+	// scan (mixed 1-D and 2-D batches, average queries) already uses
+	// every core inside each batch, with results bit-identical to a
+	// one-core scan.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

@@ -316,6 +316,7 @@ func countTail(ctx context.Context, rel relation.Relation, rs relation.RangeScan
 		if err != nil {
 			return err
 		}
+		st.useCores(end - start)
 		if err := prunedOrRange(rel, rs, start, end, cols, pred, st,
 			func(b *relation.Batch) error {
 				if err := ctx.Err(); err != nil {

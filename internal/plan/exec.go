@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -143,12 +144,15 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 	return set, nil
 }
 
-// scanParallelism picks the counting scan's segment count. 1-D counting
-// parallelism stays opt-in (Config.PEs), matching the one-shot
-// pipelines; a pure pair-grid scan parallelizes by default because its
-// merge is exact. Groups accumulating float target sums force a serial
-// scan so totals are bit-reproducible regardless of segmentation (the
-// average-operator queries have always accumulated serially).
+// scanParallelism picks the counting scan's row segment count
+// (Algorithm 3.2). Segmenting 1-D schedules stays opt-in (Config.PEs),
+// matching the one-shot pipelines; a pure pair-grid scan segments by
+// default because its merge is exact. Groups accumulating float target
+// sums force one segment, because merging float partials would make
+// totals depend on segmentation. One segment no longer means one core:
+// the general kernel's single-segment scan splits each batch across
+// every core (execState.useCores) with one writer per accumulator, so
+// it stays bit-identical to a one-core scan.
 func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pairs []*PairNeed) int {
 	for _, g := range groups {
 		if len(g.Targets) > 0 {
@@ -310,17 +314,26 @@ func statsFromCounts(c *bucketing.Counts, g *GroupNeed) *Stats1D {
 // effective-index pass: eff[row] is the row's bucket index with
 // masked-out and NaN-driver rows redirected to the trash slot m, so
 // every group sharing the combination tallies with branch-free
-// scatter loops. nans counts the batch's masked-in NaN-driver rows.
+// scatter loops. nans counts the batch's masked-in NaN-driver rows,
+// summed from the row workers' nanPart slots after the prep barrier.
 type effCombo struct {
 	loc     int // locate task index
 	maskIdx int // distinct filter index, -1 when unfiltered
 	m       int // bucket count; also the trash slot
 
-	eff  []int32
-	nans int
+	eff     []int32
+	nanPart []int // per row worker
+	nans    int
 }
 
-// execState is one worker's private tally state.
+// splitRowFloor is the scan size below which the general kernel runs
+// one worker: about four batches, so a small delta tail pays no
+// goroutine hand-offs.
+const splitRowFloor = 4 * relation.DefaultBatchSize
+
+// execState is one scan's private tally state. Within each batch it
+// runs in two phases on workers goroutines (see countBatch); with one
+// worker both phases run inline, which is the serial scan.
 type execState struct {
 	numPos  map[int]int // attr -> position in cols.Numeric
 	boolPos map[int]int // attr -> position in cols.Bool
@@ -338,6 +351,9 @@ type execState struct {
 
 	groups []*groupState
 	pairs  []*pairState
+
+	workers int     // row workers per batch; 1 is the serial scan
+	tallies [][]int // per tally worker: owned units, groups then pairs offset by len(groups)
 }
 
 type groupState struct {
@@ -425,8 +441,9 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 	return cols, numPos, boolPos
 }
 
-// newExecState builds one worker's tally state. ref selects the
-// reference per-tuple kernel over the batch-vectorized one.
+// newExecState builds one scan's tally state on one worker (useCores
+// widens it). ref selects the reference per-tuple kernel over the
+// batch-vectorized one.
 func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 	numPos, boolPos map[int]int, ref bool) (*execState, error) {
 	st := &execState{numPos: numPos, boolPos: boolPos, useRef: ref}
@@ -540,39 +557,185 @@ func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 		}
 		st.pairs = append(st.pairs, ps)
 	}
+	st.setWorkers(1)
 	return st, nil
 }
 
-// countBatch tallies one batch into every group and pair: bucket
-// indices are located once per (attribute, resolution), row masks are
-// computed once per distinct filter, then either the batch-vectorized
-// kernel or the reference per-tuple kernel consumes them. Both kernels
-// feed every valid bucket the identical addition sequence in row
-// order, so their outputs — float target sums included — are
-// bit-identical.
+// setWorkers fixes the scan's worker count and, with it, which worker
+// owns each tally in the statistic-split phase. Units are dealt
+// largest first to the least-loaded worker, priced by a rough per-row
+// cost: one per scatter loop, two per extreme pair, plus a fixed
+// per-tally overhead; a pair grid, whose tallies stride a larger cell
+// array, prices at about twice a group with three objectives. The
+// assignment is deterministic and never changes mid-scan. Workers left
+// without a unit are dropped from the tally phase.
+func (st *execState) setWorkers(workers int) {
+	st.workers = workers
+	for _, c := range st.combos {
+		c.nanPart = make([]int, workers)
+	}
+	costs := make([]int, 0, len(st.groups)+len(st.pairs))
+	for _, gs := range st.groups {
+		c := 3 + len(gs.v) + len(gs.sum)
+		if gs.minv != nil {
+			c += 2
+		}
+		costs = append(costs, c)
+	}
+	for range st.pairs {
+		costs = append(costs, 12)
+	}
+	order := make([]int, len(costs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return costs[order[i]] > costs[order[j]] })
+	load := make([]int, workers)
+	owned := make([][]int, workers)
+	for _, u := range order {
+		w := 0
+		for k := range load {
+			if load[k] < load[w] {
+				w = k
+			}
+		}
+		load[w] += costs[u]
+		owned[w] = append(owned[w], u)
+	}
+	st.tallies = st.tallies[:0]
+	for _, units := range owned {
+		if len(units) > 0 {
+			sort.Ints(units)
+			st.tallies = append(st.tallies, units)
+		}
+	}
+}
+
+// useCores spreads each batch of a scan over rows rows across
+// runtime.GOMAXPROCS(0) workers. Scans below splitRowFloor, and the
+// reference kernel, stay on one worker. Only a scan that is the sole
+// counting scan in flight should call it: row-chunk and scatter-gather
+// workers already run one scan per core.
+func (st *execState) useCores(rows int) {
+	if w := runtime.GOMAXPROCS(0); w > 1 && rows >= splitRowFloor && !st.useRef {
+		st.setWorkers(w)
+	}
+}
+
+// fanOut runs fn(0..k-1), on k-1 fresh goroutines plus the caller, and
+// returns once every call has.
+func fanOut(k int, fn func(w int)) {
+	if k == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for w := 1; w < k; w++ {
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// countBatch tallies one batch into every group and pair in two phases
+// separated by a barrier. The row-split phase (prep) gives each worker
+// a disjoint row range: it locates bucket indices once per (attribute,
+// resolution), computes row masks once per distinct filter, and writes
+// the effective-index passes the vectorized tallies consume. The
+// statistic-split phase hands every group and pair tally to exactly
+// one worker, which runs its scatter loops over the whole batch in row
+// order. Every accumulator thus has one writer seeing rows in serial
+// order and no partial is ever merged, so the results — float target
+// sums included — are bit-identical at every worker count, and to the
+// reference per-tuple kernel, which feeds every valid bucket the same
+// addition sequence.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
-	// Bucket indices once per (attribute, resolution): every group and
-	// pair sharing the boundary set shares the locate pass.
-	for t := range st.locKeys {
+	st.grow(n)
+	if st.useRef {
+		st.prep(b, 0, n, 0)
+		st.countBatchRef(b)
+		return
+	}
+	// Row ranges are 64-row aligned so neighbouring workers never write
+	// the same cache line.
+	step := max(((n+st.workers-1)/st.workers+63)&^63, 64)
+	rowWorkers := max((n+step-1)/step, 1)
+	fanOut(rowWorkers, func(w int) {
+		st.prep(b, w*step, min((w+1)*step, n), w)
+	})
+	for _, c := range st.combos {
+		c.nans = 0
+		for _, k := range c.nanPart[:rowWorkers] {
+			c.nans += k
+		}
+	}
+	fanOut(len(st.tallies), func(w int) {
+		for _, u := range st.tallies[w] {
+			if u < len(st.groups) {
+				st.tallyGroup(st.groups[u], b)
+			} else {
+				st.tallyPair(st.pairs[u-len(st.groups)], b)
+			}
+		}
+	})
+}
+
+// grow sizes every per-row buffer for an n-row batch before the row
+// workers write their disjoint ranges of it.
+func (st *execState) grow(n int) {
+	for t := range st.idx {
 		if cap(st.idx[t]) < n {
 			st.idx[t] = make([]int32, n)
 		}
-		st.locB[t].LocateBatch(b.Numeric[st.locCol[t]][:n], st.idx[t][:n])
 	}
-	// Row masks once per distinct filter.
-	for f := range st.filters {
+	for f := range st.masks {
 		if cap(st.masks[f]) < n {
 			st.masks[f] = make([]bool, n)
 		}
-		mask := st.masks[f][:n]
+	}
+	if st.useRef {
+		return
+	}
+	for _, c := range st.combos {
+		if cap(c.eff) < n {
+			c.eff = make([]int32, n)
+		}
+	}
+	for _, ps := range st.pairs {
+		if cap(ps.effCell) < n {
+			ps.effCell = make([]int32, n)
+			ps.effA = make([]int32, n)
+			ps.effB = make([]int32, n)
+		}
+	}
+}
+
+// prep runs the per-row maps over rows [lo, hi) of the batch as row
+// worker w. The effective-index passes of the vectorized kernel route
+// every excluded row to a trash slot, so the tallies after it carry no
+// row-level control flow; the reference kernel needs only the bucket
+// indices and masks.
+func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
+	// Bucket indices once per (attribute, resolution): every group and
+	// pair sharing the boundary set shares the locate pass.
+	for t := range st.locKeys {
+		st.locB[t].LocateBatch(b.Numeric[st.locCol[t]][lo:hi], st.idx[t][lo:hi])
+	}
+	// Row masks once per distinct filter.
+	for f := range st.filters {
+		mask := st.masks[f][lo:hi]
 		for row := range mask {
 			mask[row] = true
 		}
 		for _, bc := range st.filters[f] {
-			col := b.Bool[st.boolPos[bc.Attr]]
+			col := b.Bool[st.boolPos[bc.Attr]][lo:hi]
 			want := bc.Want
-			for row := 0; row < n; row++ {
+			for row := range mask {
 				if col[row] != want {
 					mask[row] = false
 				}
@@ -580,28 +743,11 @@ func (st *execState) countBatch(b *relation.Batch) {
 		}
 	}
 	if st.useRef {
-		st.countBatchRef(b)
 		return
 	}
-	st.countBatchVec(b)
-}
-
-// countBatchVec is the batch-vectorized kernel. The per-tuple
-// branching of the reference kernel — mask check, NaN check, extreme
-// tracking, per-objective conditionals — is restructured into columnar
-// passes: one effective-index pass per distinct (boundary set, filter)
-// combination routes every excluded row to a trash slot, and each
-// statistic then runs one tight scatter loop over the whole batch with
-// no row-level control flow. Trash-slot garbage (counts, NaN sums,
-// extremes of masked rows) never surfaces: publish slices it off.
-func (st *execState) countBatchVec(b *relation.Batch) {
-	n := b.Len
 	for _, c := range st.combos {
-		if cap(c.eff) < n {
-			c.eff = make([]int32, n)
-		}
-		eff := c.eff[:n]
-		idx := st.idx[c.loc][:n]
+		eff := c.eff[lo:hi]
+		idx := st.idx[c.loc][lo:hi]
 		trash := int32(c.m)
 		nans := 0
 		if c.maskIdx < 0 {
@@ -613,7 +759,7 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 				eff[row] = i
 			}
 		} else {
-			mask := st.masks[c.maskIdx][:n]
+			mask := st.masks[c.maskIdx][lo:hi]
 			for row, i := range idx {
 				if !mask[row] {
 					eff[row] = trash
@@ -626,68 +772,19 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 				eff[row] = i
 			}
 		}
-		c.nans = nans
-	}
-	for _, gs := range st.groups {
-		c := st.combos[gs.combo]
-		eff := c.eff[:n]
-		gs.total += n
-		gs.nans += c.nans
-		u := gs.u
-		for _, e := range eff {
-			u[e]++
-		}
-		if gs.minv != nil {
-			col := b.Numeric[gs.col][:n]
-			minv, maxv := gs.minv, gs.maxv
-			for row, e := range eff {
-				x := col[row]
-				if x < minv[e] {
-					minv[e] = x
-				}
-				if x > maxv[e] {
-					maxv[e] = x
-				}
-			}
-		}
-		for k := range gs.v {
-			vk := gs.v[k]
-			colb := b.Bool[gs.boolCol[k]][:n]
-			want := gs.boolWant[k]
-			for row, e := range eff {
-				// Flagless increment: the objective bit is ~50% either
-				// way, so a conditional add would mispredict constantly.
-				d := 0
-				if colb[row] == want {
-					d = 1
-				}
-				vk[e] += d
-			}
-		}
-		for k := range gs.sum {
-			sk := gs.sum[k]
-			colt := b.Numeric[gs.targetCol[k]][:n]
-			for row, e := range eff {
-				sk[e] += colt[row]
-			}
-		}
+		c.nanPart[w] = nans
 	}
 	for _, ps := range st.pairs {
-		ia := st.idx[ps.locA][:n]
-		ib := st.idx[ps.locB][:n]
-		if cap(ps.effCell) < n {
-			ps.effCell = make([]int32, n)
-			ps.effA = make([]int32, n)
-			ps.effB = make([]int32, n)
-		}
-		effCell := ps.effCell[:n]
-		effA := ps.effA[:n]
-		effB := ps.effB[:n]
+		ia := st.idx[ps.locA][lo:hi]
+		ib := st.idx[ps.locB][lo:hi]
+		effCell := ps.effCell[lo:hi]
+		effA := ps.effA[lo:hi]
+		effB := ps.effB[lo:hi]
 		cols := int32(ps.cols)
 		trashCell := int32(len(ps.pu) - 1)
 		trashA := int32(len(ps.minA) - 1)
 		trashB := int32(len(ps.minB) - 1)
-		for row := 0; row < n; row++ {
+		for row := range effCell {
 			ri, rj := ia[row], ib[row]
 			if ri < 0 || rj < 0 {
 				// A row outside either axis's bucketing contributes to no
@@ -702,40 +799,98 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 			effA[row] = ri
 			effB[row] = rj
 		}
-		pu, pv := ps.pu, ps.pv
-		for _, e := range effCell {
-			pu[e]++
+	}
+}
+
+// tallyGroup is one group's vectorized tally over the whole batch: a
+// tight scatter loop per statistic over its combination's effective
+// indices, with no row-level control flow. Trash-slot garbage (counts,
+// NaN sums, extremes of masked rows) never surfaces: publish slices it
+// off.
+func (st *execState) tallyGroup(gs *groupState, b *relation.Batch) {
+	n := b.Len
+	c := st.combos[gs.combo]
+	eff := c.eff[:n]
+	gs.total += n
+	gs.nans += c.nans
+	u := gs.u
+	for _, e := range eff {
+		u[e]++
+	}
+	if gs.minv != nil {
+		col := b.Numeric[gs.col][:n]
+		minv, maxv := gs.minv, gs.maxv
+		for row, e := range eff {
+			x := col[row]
+			if x < minv[e] {
+				minv[e] = x
+			}
+			if x > maxv[e] {
+				maxv[e] = x
+			}
 		}
-		obj := b.Bool[ps.objCol][:n]
-		want := ps.want
-		for row, e := range effCell {
-			x := 0.0
-			if obj[row] == want {
-				x = 1
+	}
+	for k := range gs.v {
+		vk := gs.v[k]
+		colb := b.Bool[gs.boolCol[k]][:n]
+		want := gs.boolWant[k]
+		for row, e := range eff {
+			// Flagless increment: the objective bit is ~50% either
+			// way, so a conditional add would mispredict constantly.
+			d := 0
+			if colb[row] == want {
+				d = 1
 			}
-			pv[e] += x
+			vk[e] += d
 		}
-		colA := b.Numeric[ps.colA][:n]
-		minA, maxA := ps.minA, ps.maxA
-		for row, e := range effA {
-			a := colA[row]
-			if a < minA[e] {
-				minA[e] = a
-			}
-			if a > maxA[e] {
-				maxA[e] = a
-			}
+	}
+	for k := range gs.sum {
+		sk := gs.sum[k]
+		colt := b.Numeric[gs.targetCol[k]][:n]
+		for row, e := range eff {
+			sk[e] += colt[row]
 		}
-		colB := b.Numeric[ps.colB][:n]
-		minB, maxB := ps.minB, ps.maxB
-		for row, e := range effB {
-			bv := colB[row]
-			if bv < minB[e] {
-				minB[e] = bv
-			}
-			if bv > maxB[e] {
-				maxB[e] = bv
-			}
+	}
+}
+
+// tallyPair is one pair's vectorized tally over the whole batch, over
+// the effective cell and axis indices prep wrote.
+func (st *execState) tallyPair(ps *pairState, b *relation.Batch) {
+	n := b.Len
+	effCell := ps.effCell[:n]
+	pu, pv := ps.pu, ps.pv
+	for _, e := range effCell {
+		pu[e]++
+	}
+	obj := b.Bool[ps.objCol][:n]
+	want := ps.want
+	for row, e := range effCell {
+		x := 0.0
+		if obj[row] == want {
+			x = 1
+		}
+		pv[e] += x
+	}
+	colA := b.Numeric[ps.colA][:n]
+	minA, maxA := ps.minA, ps.maxA
+	for row, e := range ps.effA[:n] {
+		a := colA[row]
+		if a < minA[e] {
+			minA[e] = a
+		}
+		if a > maxA[e] {
+			maxA[e] = a
+		}
+	}
+	colB := b.Numeric[ps.colB][:n]
+	minB, maxB := ps.minB, ps.maxB
+	for row, e := range ps.effB[:n] {
+		bv := colB[row]
+		if bv < minB[e] {
+			minB[e] = bv
+		}
+		if bv > maxB[e] {
+			maxB[e] = bv
 		}
 	}
 }
@@ -834,9 +989,9 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 }
 
 // merge folds other's tallies into st, padding slots included. All
-// statistics are integer counts or extremes (float sums force a serial
-// scan; the pair objective tallies are exact small integers in
-// float64), so the merged state matches a serial scan exactly
+// statistics are integer counts or extremes (float sums force a
+// single-segment scan; the pair objective tallies are exact small
+// integers in float64), so the merged state matches a serial scan exactly
 // regardless of segmentation.
 func (st *execState) merge(other *execState) {
 	for i, gs := range st.groups {
@@ -1002,6 +1157,7 @@ func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, gro
 		if err != nil {
 			return err
 		}
+		st.useCores(rel.NumTuples())
 		if err := prunedOrRange(rel, nil, 0, rel.NumTuples(), cols, pred, st,
 			func(b *relation.Batch) error {
 				if err := ctx.Err(); err != nil {

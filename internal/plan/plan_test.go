@@ -2,10 +2,12 @@ package plan
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
 	"optrule/internal/bucketing"
+	"optrule/internal/region"
 	"optrule/internal/relation"
 )
 
@@ -204,5 +206,43 @@ func TestRunSkipsBoundsForCoveredGroups(t *testing.T) {
 	}
 	if set.Groups[key] != covered {
 		t.Errorf("working set does not hold the covered statistic")
+	}
+}
+
+// TestResolveRejectsOversizedResolutions pins the resolution ceilings:
+// a bucket count above MaxBuckets or a grid side above MaxGridSide
+// fails with ErrResolutionTooLarge, whether the query or the session
+// default asks for it, while the ceilings themselves still resolve.
+func TestResolveRejectsOversizedResolutions(t *testing.T) {
+	if MaxGridSide*MaxGridSide != region.MaxGridCells {
+		t.Fatalf("MaxGridSide² = %d, want region.MaxGridCells = %d", MaxGridSide*MaxGridSide, region.MaxGridCells)
+	}
+	rel := kernelTestRelation(t, 100)
+	d := Defaults{Buckets: 10, GridSide: 8, SampleFactor: 40, Seed: 1}
+	pair := Query{Op: OpRules2D, Numeric: "X", NumericB: "Y", Objective: "C", ObjectiveValue: true}
+	rules := Query{Op: OpRules, Numeric: "X", Objective: "C", ObjectiveValue: true}
+	bigSide, bigM, sideDefault := pair, rules, d
+	bigSide.GridSide = 1000000
+	bigM.Buckets = MaxBuckets + 1
+	sideDefault.GridSide = MaxGridSide + 1
+	for name, tc := range map[string]struct {
+		d Defaults
+		q Query
+	}{
+		"query grid side":   {d, bigSide},
+		"query buckets":     {d, bigM},
+		"default grid side": {sideDefault, rules},
+	} {
+		if _, err := Resolve(rel, tc.d, tc.q); !errors.Is(err, ErrResolutionTooLarge) {
+			t.Errorf("%s: got %v, want ErrResolutionTooLarge", name, err)
+		}
+	}
+	atSide, atM := pair, rules
+	atSide.GridSide = MaxGridSide
+	atM.Buckets = MaxBuckets
+	for _, q := range []Query{atSide, atM} {
+		if _, err := Resolve(rel, d, q); err != nil {
+			t.Errorf("resolution at the ceiling rejected: %v", err)
+		}
 	}
 }

@@ -1,11 +1,27 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 
 	"optrule/internal/bucketing"
+	"optrule/internal/region"
 	"optrule/internal/relation"
 )
+
+// Resolution ceilings. A query asking for more 1-D buckets than
+// MaxBuckets, or a grid side whose square exceeds region.MaxGridCells,
+// fails at resolution with ErrResolutionTooLarge — before any sampling
+// or counting allocates for it — so one oversized query cannot exhaust
+// the process's memory.
+const (
+	MaxBuckets  = region.MaxGridCells
+	MaxGridSide = 1024 // MaxGridSide² == region.MaxGridCells
+)
+
+// ErrResolutionTooLarge reports a bucket count or grid side above its
+// ceiling (MaxBuckets, MaxGridSide).
+var ErrResolutionTooLarge = errors.New("plan: resolution exceeds the ceiling")
 
 // Defaults carries the session-level configuration that shapes
 // sufficient statistics: thresholds fill unset query fields, the rest
@@ -20,7 +36,10 @@ type Defaults struct {
 	SampleFactor     int
 	ExactDomainLimit int
 	Seed             int64
-	// PEs > 1 segments the counting scan (Algorithm 3.2); see Run.
+	// PEs > 1 segments the counting scan into that many row ranges
+	// (Algorithm 3.2); see scanParallelism. It sets segmentation only:
+	// a single-segment general-kernel scan uses every core inside each
+	// batch regardless (execState.useCores).
 	PEs int
 	// RefKernel forces the general counting scan's reference per-tuple
 	// kernel instead of the batch-vectorized one. Results are identical
@@ -151,11 +170,18 @@ func Resolve(rel relation.Relation, d Defaults, q Query) (*Resolved, error) {
 	if r.M < 1 {
 		return nil, fmt.Errorf("plan: bucket count %d must be positive", r.M)
 	}
+	if r.M > MaxBuckets {
+		return nil, fmt.Errorf("%w: bucket count %d is above %d", ErrResolutionTooLarge, r.M, MaxBuckets)
+	}
 	if r.Side == 0 {
 		r.Side = d.GridSide
 	}
 	if r.Side < 1 {
 		return nil, fmt.Errorf("plan: grid side %d must be positive", r.Side)
+	}
+	if r.Side > MaxGridSide {
+		return nil, fmt.Errorf("%w: grid side %d is above %d (%d cells per pair)",
+			ErrResolutionTooLarge, r.Side, MaxGridSide, region.MaxGridCells)
 	}
 	if err := rejectUnusedFields(q); err != nil {
 		return nil, err

@@ -16,8 +16,9 @@ import (
 // backends), scattered one-task-per-shard across a pool of workers,
 // and the partial tallies are gathered and merged exactly. The merge
 // is bit-exact because a scattered schedule carries only integer
-// counts and extremes (float target sums force the serial path — see
-// scanParallelism), so mined rules are identical to a single-node run
+// counts and extremes (float target sums force the single-segment
+// path — see scanParallelism), so mined rules are identical to a
+// single-node run
 // REGARDLESS of worker count, task placement, retries, or which
 // failure path produced each partial.
 //
@@ -159,8 +160,9 @@ func (sc ScatterConfig) withDefaults() ScatterConfig {
 
 // useScatter reports whether the scatter-gather coordinator should run
 // this counting scan: workers enabled, an integer-exact schedule
-// (float target sums stay serial so their addition order never depends
-// on segmentation — the scanParallelism rule), and a range-scannable,
+// (float target sums stay in one segment so their addition order never
+// depends on segmentation — the scanParallelism rule), and a
+// range-scannable,
 // non-empty relation.
 func useScatter(rel relation.Relation, d Defaults, groups []*GroupNeed) bool {
 	if d.Scatter.Workers <= 0 {

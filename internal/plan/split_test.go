@@ -1,0 +1,207 @@
+package plan
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"optrule/internal/relation"
+)
+
+// splitBatchRequirements resolves the split-kernel schedule: unfiltered
+// and filtered groups, float target sums (one over the NaN-holed
+// driver X), tracked extremes, and two pair grids — a mix no fast path
+// serves, so every run lands in the general kernel.
+func splitBatchRequirements(t *testing.T, rel relation.Relation, d Defaults) *Requirements {
+	t.Helper()
+	queries := []Query{
+		{Op: OpRules},
+		{Op: OpConjunctive, Numeric: "X",
+			Objectives: []Condition{{Attr: "C", Value: true}},
+			Conditions: []Condition{{Attr: "F", Value: true}}},
+		{Op: OpRules, Numeric: "Y", Objective: "C", ObjectiveValue: true,
+			Conditions: []Condition{{Attr: "G", Value: true}}},
+		{Op: OpAverage, Numeric: "Y", Target: "T", MinSupport: 0.1},
+		{Op: OpAverage, Numeric: "X", Target: "T", MinSupport: 0.1},
+		{Op: OpRules2D, Numeric: "X", NumericB: "Y", Objective: "C", ObjectiveValue: true},
+		{Op: OpRules2D, Numeric: "Y", NumericB: "T", Objective: "G", ObjectiveValue: false},
+	}
+	req := NewRequirements()
+	for _, q := range queries {
+		r, err := Resolve(rel, d, q)
+		if err != nil {
+			t.Fatalf("resolve %+v: %v", q, err)
+		}
+		req.Add(r)
+	}
+	return req
+}
+
+// withProcs runs fn at GOMAXPROCS procs and restores the old setting.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestSplitKernelBitIdenticalAcrossWorkers pins the two-phase split of
+// the general counting kernel: one mixed schedule over a relation
+// above the split floor publishes a reflect.DeepEqual StatsSet at
+// every worker count — float target sums and extremes included — and
+// the same set as the reference per-tuple kernel.
+func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
+	rel := kernelTestRelation(t, splitRowFloor+20000)
+	run := func(procs int, ref bool) *StatsSet {
+		var set *StatsSet
+		withProcs(procs, func() {
+			d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5, RefKernel: ref}
+			req := splitBatchRequirements(t, rel, d)
+			if len(req.Pairs) != 2 {
+				t.Fatalf("schedule has %d pair grids, want 2", len(req.Pairs))
+			}
+			var err error
+			set, err = Run(rel, d, NewCache(0), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		return set
+	}
+	want := run(1, true)
+	var filtered, targets, extremes, nans bool
+	for k, g := range want.Groups {
+		filtered = filtered || k.Filter != ""
+		targets = targets || len(g.Sum) > 0
+		extremes = extremes || g.MinVal != nil
+		nans = nans || (g.NaNs > 0 && len(g.Sum) > 0)
+	}
+	if !filtered || !targets || !extremes || !nans {
+		t.Fatalf("schedule is missing a tally shape: filtered=%v targets=%v extremes=%v nanTargets=%v",
+			filtered, targets, extremes, nans)
+	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		got := run(procs, false)
+		if !reflect.DeepEqual(want, got) {
+			compareStatsSets(t, want, got)
+			t.Fatalf("GOMAXPROCS=%d: split kernel StatsSet differs from the reference kernel", procs)
+		}
+	}
+}
+
+// TestSplitKernelWorkerCounts pins when the split engages: every core
+// above the row floor, one worker below it and for the reference
+// kernel, and a tally assignment that gives every group and pair
+// exactly one owner.
+func TestSplitKernelWorkerCounts(t *testing.T) {
+	rel := kernelTestRelation(t, 2000)
+	d := Defaults{Buckets: 37, GridSide: 11, SampleFactor: 40, Seed: 5}
+	req := splitBatchRequirements(t, rel, d)
+	set, err := Run(rel, d, NewCache(0), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []*GroupNeed
+	for _, k := range req.GroupOrder {
+		groups = append(groups, req.Groups[k])
+	}
+	var pairs []*PairNeed
+	for _, k := range req.PairOrder {
+		pairs = append(pairs, req.Pairs[k])
+	}
+	_, numPos, boolPos := execLayout(groups, pairs)
+	state := func(ref bool, rows int) *execState {
+		st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.useCores(rows)
+		return st
+	}
+	withProcs(3, func() {
+		if st := state(false, splitRowFloor-1); st.workers != 1 || len(st.tallies) != 1 {
+			t.Errorf("below the floor: %d workers, %d tally workers; want 1, 1", st.workers, len(st.tallies))
+		}
+		if st := state(true, splitRowFloor); st.workers != 1 {
+			t.Errorf("reference kernel: %d workers, want 1", st.workers)
+		}
+		st := state(false, splitRowFloor)
+		if st.workers != 3 || len(st.tallies) != 3 {
+			t.Fatalf("at the floor: %d workers, %d tally workers; want 3, 3", st.workers, len(st.tallies))
+		}
+		owners := make([]int, len(groups)+len(pairs))
+		for _, units := range st.tallies {
+			for _, u := range units {
+				owners[u]++
+			}
+		}
+		for u, n := range owners {
+			if n != 1 {
+				t.Errorf("tally unit %d has %d owners, want 1", u, n)
+			}
+		}
+	})
+}
+
+// cancellingRelation cancels a context once its scan has delivered
+// after batches, hiding every optional scan interface so the counting
+// scan runs serially through Scan.
+type cancellingRelation struct {
+	relation.Relation
+	after  int
+	cancel context.CancelFunc
+}
+
+func (c *cancellingRelation) Scan(cols relation.ColumnSet, fn func(*relation.Batch) error) error {
+	seen := 0
+	return c.Relation.Scan(cols, func(b *relation.Batch) error {
+		seen++
+		if seen == c.after {
+			c.cancel()
+		}
+		return fn(b)
+	})
+}
+
+// TestSplitKernelCancelMidScan cancels the split scan between batches:
+// the run returns the context's error, and the per-batch workers are
+// all joined, so repeated cancelled runs leak no goroutine.
+func TestSplitKernelCancelMidScan(t *testing.T) {
+	rel := kernelTestRelation(t, splitRowFloor+20000)
+	d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5}
+	req := splitBatchRequirements(t, rel, d)
+	// Prewarm the boundaries so the cancelling relation sees only the
+	// counting scan.
+	warm, err := Run(rel, d, NewCache(0), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withProcs(4, func() {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			cache := NewCache(0)
+			for k, b := range warm.Bounds {
+				cache.PutBounds(k, b, rel.NumTuples())
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			crel := &cancellingRelation{Relation: rel, after: 2, cancel: cancel}
+			_, err := RunContext(ctx, crel, d, cache, req)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("run %d: got %v, want context.Canceled", i, err)
+			}
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				n := runtime.Stack(buf, true)
+				t.Fatalf("cancelled split scans leaked goroutines: %d running, started with %d\n%s",
+					runtime.NumGoroutine(), base, buf[:n])
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}

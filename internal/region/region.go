@@ -38,6 +38,7 @@
 package region
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -74,11 +75,25 @@ type Grid struct {
 	totalValid atomic.Bool
 }
 
+// MaxGridCells is the largest grid NewGrid allocates: 2^20 cells, a
+// 1024×1024 grid holding 16 MiB of cell tallies. It sits far above the
+// display-sized grids 2-D rules make sense at (the region kernels cost
+// O(M³) and up in the side), and far below a shape that would exhaust
+// memory.
+const MaxGridCells = 1 << 20
+
+// ErrGridTooLarge reports a grid shape whose cell count overflows or
+// exceeds MaxGridCells; NewGrid returns it before allocating anything.
+var ErrGridTooLarge = errors.New("region: grid exceeds the cell ceiling")
+
 // NewGrid allocates a zeroed rows×cols grid backed by one contiguous
 // row-major array per statistic.
 func NewGrid(rows, cols int) (*Grid, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("region: grid shape %dx%d must be positive", rows, cols)
+	}
+	if rows > MaxGridCells/cols { // rows*cols > MaxGridCells, without overflow
+		return nil, fmt.Errorf("%w: %dx%d is above %d cells", ErrGridTooLarge, rows, cols, MaxGridCells)
 	}
 	g := &Grid{
 		U: make([][]int, rows),

@@ -1,6 +1,8 @@
 package region
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -209,5 +211,28 @@ func TestRectValidation(t *testing.T) {
 	g3, _ := NewGrid(2, 2)
 	if _, ok, err := OptimalRectConfidence(g3, 1); err != nil || ok {
 		t.Errorf("empty grid should return ok=false: %v %v", ok, err)
+	}
+}
+
+// TestNewGridCeiling pins the cell ceiling: NewGrid rejects a shape
+// above MaxGridCells, or one whose cell count overflows int, with
+// ErrGridTooLarge — and still builds a grid exactly at the ceiling.
+func TestNewGridCeiling(t *testing.T) {
+	for _, shape := range [][2]int{
+		{MaxGridCells + 1, 1},
+		{1025, 1024},
+		{1 << 40, 1 << 40},
+		{math.MaxInt, 2},
+	} {
+		if _, err := NewGrid(shape[0], shape[1]); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("NewGrid(%d, %d): got %v, want ErrGridTooLarge", shape[0], shape[1], err)
+		}
+	}
+	g, err := NewGrid(1024, 1024)
+	if err != nil {
+		t.Fatalf("grid at the ceiling: %v", err)
+	}
+	if g.Rows()*g.Cols() != MaxGridCells {
+		t.Errorf("grid at the ceiling has %d cells, want %d", g.Rows()*g.Cols(), MaxGridCells)
 	}
 }

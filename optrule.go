@@ -252,7 +252,8 @@
 // task to a pool of Workers, and the partial tallies are gathered and
 // merged. The merge is EXACT — a scattered schedule carries only
 // integer counts and extremes, never order-sensitive float sums (the
-// average operator's target sums always take the serial path) — so the
+// average operator's target sums take the single-segment scan, which
+// merges no partials) — so the
 // mined rules are bit-identical at every worker count, under every
 // placement, and after every recovery action. The zero value of
 // Config.Scatter keeps the classic executors untouched.
@@ -305,8 +306,10 @@
 //     is reproducible from its inputs.
 //   - floatmerge — functions reachable from a parallel merge entry
 //     point may not accumulate floats with +=: float addition is
-//     order-dependent, so merged tallies stay integer-exact and
-//     float target sums take the serial path.
+//     order-dependent, so merged tallies stay integer-exact. Float
+//     target sums take the single-segment path, whose kernel splits
+//     the statistics (not the rows) across cores: each sum has one
+//     writer adding rows in scan order, and no float is ever merged.
 //   - bytecount — raw file reads in internal/relation live only in
 //     countio.go, whose helpers charge Stats.BytesRead; every other
 //     read goes through them, keeping the cost model honest.
@@ -362,6 +365,8 @@ import (
 
 	"optrule/internal/datagen"
 	"optrule/internal/miner"
+	"optrule/internal/plan"
+	"optrule/internal/region"
 	"optrule/internal/relation"
 )
 
@@ -684,6 +689,16 @@ var ErrInjected = relation.ErrInjected
 // while scans or point reads are in flight: Close releases nothing and
 // the readers finish unharmed.
 var ErrBusy = relation.ErrBusy
+
+// ErrResolutionTooLarge is wrapped by the Answer.Err of a query asking
+// for more than 2^20 buckets or a grid side above 1024 (2^20 cells per
+// pair); it fails before anything is allocated for it, and the rest of
+// its batch still answers.
+var ErrResolutionTooLarge = plan.ErrResolutionTooLarge
+
+// ErrGridTooLarge is returned for a 2-D grid whose cell count
+// overflows or exceeds 2^20.
+var ErrGridTooLarge = region.ErrGridTooLarge
 
 // MineAll mines both optimized rules for every (numeric, Boolean)
 // attribute combination of the relation, sorted by descending lift.
