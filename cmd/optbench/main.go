@@ -18,7 +18,7 @@
 // read bytes, plus static-vs-work-stealing predicated parallel scan
 // wall-clock per PE count, rule-deviation hard-fail),
 // kernel (general counting kernel: batch-vectorized vs reference
-// per-tuple vs the homogeneous MultiCount fast path, ns/row), twodim
+// per-tuple vs the homogeneous bucketing.MultiCount, ns/row), twodim
 // (fused all-pairs 2-D engine vs legacy per-pair pipeline: wall-clock
 // and bytes vs pair count and grid side, plus a single-pair all-kinds
 // deep-grid sweep), shards (sharded backend: single-file vs 2/4/8-shard

@@ -3,6 +3,8 @@ package bucketing
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -222,5 +224,71 @@ func TestDistinctValueBoundariesFinest(t *testing.T) {
 	empty := relation.MustNewMemoryRelation(relation.Schema{{Name: "Age", Kind: relation.Numeric}})
 	if _, err := DistinctValueBoundaries(empty, 0, 10); err == nil {
 		t.Errorf("empty relation accepted")
+	}
+}
+
+// TestMultiSampledBoundarySpecsFanOut pins the per-spec fan-out of the
+// boundary build: the same specs and seeds give reflect.DeepEqual
+// boundaries at GOMAXPROCS 1 and 8, over the point-read sampling path
+// and over the distinct-tracking scan path, and with several failing
+// specs the reported error is the first failing spec's, whichever
+// worker fails first.
+func TestMultiSampledBoundarySpecsFanOut(t *testing.T) {
+	rel := relation.MustNewMemoryRelation(relation.Schema{
+		{Name: "A", Kind: relation.Numeric},
+		{Name: "B", Kind: relation.Numeric},
+		{Name: "Small", Kind: relation.Numeric},
+		{Name: "Hole1", Kind: relation.Numeric},
+		{Name: "Hole2", Kind: relation.Numeric},
+	})
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 20000; i++ {
+		rel.MustAppend([]float64{rng.Float64() * 1e6, rng.NormFloat64(), float64(i % 7), math.NaN(), math.NaN()}, nil)
+	}
+	build := func(procs int, specs []BoundarySpec) ([]Boundaries, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rngs := make([]*rand.Rand, len(specs))
+		for k := range rngs {
+			rngs[k] = rand.New(rand.NewSource(int64(100 + k)))
+		}
+		return MultiSampledBoundarySpecs(rel, specs, rngs)
+	}
+	sampled := []BoundarySpec{
+		{Attr: 0, M: 100, SampleFactor: 40},
+		{Attr: 1, M: 37, SampleFactor: 20},
+		{Attr: 0, M: 8, SampleFactor: 40},
+		{Attr: 2, M: 1, SampleFactor: 40},
+	}
+	exact := append(append([]BoundarySpec{}, sampled...), BoundarySpec{Attr: 2, M: 50, SampleFactor: 40, ExactDomainLimit: 10})
+	for _, specs := range [][]BoundarySpec{sampled, exact} {
+		want, err := build(1, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := build(8, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%d specs: boundaries differ between GOMAXPROCS 1 and 8", len(specs))
+		}
+		if want[0].NumBuckets() < 2 {
+			t.Fatalf("spec 0 built %d buckets; the sampled path did not run", want[0].NumBuckets())
+		}
+		if len(specs) == len(exact) && want[4].NumBuckets() != 7 {
+			t.Fatalf("exact-domain spec built %d buckets, want the 7 finest", want[4].NumBuckets())
+		}
+	}
+	failing := []BoundarySpec{
+		{Attr: 0, M: 10, SampleFactor: 40},
+		{Attr: 3, M: 10, SampleFactor: 40},
+		{Attr: 1, M: 10, SampleFactor: 40},
+		{Attr: 4, M: 10, SampleFactor: 40},
+	}
+	for i := 0; i < 20; i++ {
+		_, err := build(8, failing)
+		if err == nil || err.Error() != "bucketing: attribute 3 sampled only NaN values" {
+			t.Fatalf("run %d: error %v, want the first failing spec's (attribute 3)", i, err)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func (c *Counts) merge(other *Counts) {
 	}
 	for k := range c.Sum {
 		for i := range c.Sum[k] {
-			//optlint:ignore floatmerge target sums fold in fixed chunk-index order (ParallelMultiCount's coordinator), so the result is deterministic for a given chunk plan regardless of worker count or steal order
+			//optlint:ignore floatmerge target sums fold in fixed segment order (ParallelCount's coordinator), so the result is deterministic for a given segment count
 			c.Sum[k][i] += other.Sum[k][i]
 		}
 	}

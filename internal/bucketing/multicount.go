@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"optrule/internal/relation"
 	"optrule/internal/sampling"
@@ -314,29 +312,25 @@ func filterPredicate(opts Options) *relation.Predicate {
 	return p
 }
 
-// scanMaybePruned drives the fused counting scan over [start,end):
-// when a filter predicate exists and the relation supports pruned
-// scans, storage block groups the filter provably rejects are skipped
-// without being read or decoded — a skipped row touches only each
-// driver's Total, which the skip callback settles directly. Otherwise
-// the plain (range) scan runs and the batch kernel's mask does all the
-// filtering, as before; the counts are identical either way because
-// pruning only elides rows the mask would reject.
-func scanMaybePruned(rel relation.Relation, rs relation.RangeScanner, start, end int,
-	cols relation.ColumnSet, pred *relation.Predicate, works []*driverWork,
-	fn func(*relation.Batch) error) error {
+// scanMaybePruned drives the fused counting scan: when a filter
+// predicate exists and the relation supports pruned scans, storage
+// block groups the filter provably rejects are skipped without being
+// read or decoded — a skipped row touches only each driver's Total,
+// which the skip callback settles directly. Otherwise the plain scan
+// runs and the batch kernel's mask does all the filtering; the counts
+// are identical either way because pruning only elides rows the mask
+// would reject.
+func scanMaybePruned(rel relation.Relation, cols relation.ColumnSet, pred *relation.Predicate,
+	works []*driverWork, fn func(*relation.Batch) error) error {
 	if pred != nil {
 		if prs, ok := rel.(relation.PrunedRangeScanner); ok {
-			return prs.ScanRangePruned(start, end, cols, pred, func(rows int) error {
+			return prs.ScanRangePruned(0, rel.NumTuples(), cols, pred, func(rows int) error {
 				for _, w := range works {
 					w.total += rows
 				}
 				return nil
 			}, fn)
 		}
-	}
-	if rs != nil {
-		return rs.ScanRange(start, end, cols, fn)
 	}
 	return rel.Scan(cols, fn)
 }
@@ -358,7 +352,7 @@ func MultiCount(rel relation.Relation, drivers []int, bounds []Boundaries, opts 
 		works[d] = newDriverWork(bounds[d].NumBuckets(), opts)
 	}
 	scratch := &multiScratch{}
-	err := scanMaybePruned(rel, nil, 0, rel.NumTuples(), cols, filterPredicate(opts), works,
+	err := scanMaybePruned(rel, cols, filterPredicate(opts), works,
 		func(b *relation.Batch) error {
 			multiCountBatch(works, b, bounds, opts, targetPos, boolPos, filterPos, scratch)
 			return nil
@@ -371,100 +365,6 @@ func MultiCount(rel relation.Relation, drivers []int, bounds []Boundaries, opts 
 		cs[d] = w.finalize(opts)
 	}
 	return cs, nil
-}
-
-// ParallelMultiCount generalizes Algorithm 3.2 to the fused scan with
-// zone-map-aware dynamic scheduling: PlanScanChunks asks the storage
-// layer to price block-group-aligned chunks (groups the common filter's
-// zone maps prune cost ~0, surviving groups their physical bytes), the
-// pes worker goroutines claim chunks off a shared queue, and the
-// coordinator folds the per-CHUNK partials in chunk index order. The
-// chunk plan is deterministic and the fold order fixed, so all integer
-// statistics and extremes are identical to MultiCount regardless of
-// worker count, placement, or steal order; target Sums accumulate in
-// per-chunk order and so may differ from the sequential scan in the
-// last float64 bits (as the per-segment fold always has). On storage
-// without a block directory the chunks degrade to the static aligned
-// segments, preserving the previous behavior exactly.
-func ParallelMultiCount(rel relation.RangeScanner, drivers []int, bounds []Boundaries, opts Options, pes int) ([]*Counts, error) {
-	if pes < 1 {
-		return nil, fmt.Errorf("bucketing: processing element count %d must be positive", pes)
-	}
-	if err := validateMulti(rel.Schema(), drivers, bounds, opts); err != nil {
-		return nil, err
-	}
-	n := rel.NumTuples()
-	if pes > n {
-		pes = n
-	}
-	if pes <= 1 {
-		return MultiCount(rel, drivers, bounds, opts)
-	}
-	cols, targetPos, boolPos, filterPos := multiScanColumns(drivers, opts)
-	pred := filterPredicate(opts)
-	chunks := relation.PlanScanChunks(rel, pes, cols, pred)
-	if len(chunks) <= 1 {
-		return MultiCount(rel, drivers, bounds, opts)
-	}
-	partials := make([][]*driverWork, len(chunks))
-	errs := make([]error, len(chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := pes
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := &multiScratch{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				local := make([]*driverWork, len(drivers))
-				for d := range local {
-					local[d] = newDriverWork(bounds[d].NumBuckets(), opts)
-				}
-				partials[i] = local
-				if chunks[i].Pruned {
-					// The planner proved this chunk empty under the pushdown
-					// predicate, so the scan is settled without being issued:
-					// its rows touch only each driver's Total — exactly what
-					// the pruned scan's skip callback would have added.
-					rows := chunks[i].End - chunks[i].Start
-					for _, w := range local {
-						w.total += rows
-					}
-					continue
-				}
-				errs[i] = scanMaybePruned(rel, rel, chunks[i].Start, chunks[i].End, cols, pred, local,
-					func(b *relation.Batch) error {
-						multiCountBatch(local, b, bounds, opts, targetPos, boolPos, filterPos, scratch)
-						return nil
-					})
-			}
-		}()
-	}
-	wg.Wait()
-	// First error in chunk (row) order, deterministically.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := make([]*Counts, len(drivers))
-	for d := range total {
-		total[d] = newCounts(bounds[d].NumBuckets(), opts)
-	}
-	for _, part := range partials {
-		for d := range total {
-			total[d].merge(part[d].finalize(opts))
-		}
-	}
-	return total, nil
 }
 
 // MultiSampledBoundaries fuses steps 1–3 of Algorithm 3.1 for several
@@ -532,46 +432,49 @@ func MultiSampledBoundarySpecs(rel relation.Relation, specs []BoundarySpec, rngs
 		reqs[k] = sampling.ColumnRequest{Attr: spec.Attr, S: s, Rng: rngs[k],
 			TrackDistinct: spec.ExactDomainLimit}
 	}
-	out := make([]Boundaries, len(specs))
 	samples, err := sampling.MultiColumnRequests(rel, reqs)
 	if err != nil {
 		return nil, err
 	}
-	for k, spec := range specs {
-		if spec.ExactDomainLimit > 0 && samples[k].Distinct != nil {
-			// Finest buckets: cut at every distinct value except the
-			// largest, so bucket i is exactly [v_i, v_i].
-			distinct := samples[k].Distinct
-			bounds, err := NewBoundaries(distinct[:len(distinct)-1])
-			if err != nil {
-				return nil, err
-			}
-			out[k] = bounds
-			continue
-		}
-		if spec.M == 1 {
-			out[k] = Boundaries{}
-			continue
-		}
-		// Missing values (NaN) carry no order information; drop them from
-		// the sample so cut points stay well defined, matching
-		// SampledBoundaries.
-		sample := samples[k].Sample
-		clean := sample[:0]
-		for _, x := range sample {
-			if !math.IsNaN(x) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return nil, fmt.Errorf("bucketing: attribute %d sampled only NaN values", spec.Attr)
-		}
-		stats.SortFloat64s(clean)
-		bounds, err := FromSortedSample(clean, spec.M)
+	// Each spec's NaN strip, sort, and cut-point pass touches only its
+	// own sample and output slot, so the specs run on their own workers;
+	// the reported error is the first in spec order.
+	out := make([]Boundaries, len(specs))
+	errs := make([]error, len(specs))
+	sampling.FanOut(len(specs), func(k int) {
+		out[k], errs[k] = specBoundaries(specs[k], samples[k])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out[k] = bounds
 	}
 	return out, nil
+}
+
+// specBoundaries builds one spec's boundaries from its share of the
+// fused sampling pass.
+func specBoundaries(spec BoundarySpec, sample sampling.MultiSample) (Boundaries, error) {
+	if spec.ExactDomainLimit > 0 && sample.Distinct != nil {
+		// Finest buckets: cut at every distinct value except the
+		// largest, so bucket i is exactly [v_i, v_i].
+		return NewBoundaries(sample.Distinct[:len(sample.Distinct)-1])
+	}
+	if spec.M == 1 {
+		return Boundaries{}, nil
+	}
+	// Missing values (NaN) carry no order information; drop them from
+	// the sample so cut points stay well defined, matching
+	// SampledBoundaries.
+	clean := sample.Sample[:0]
+	for _, x := range sample.Sample {
+		if !math.IsNaN(x) {
+			clean = append(clean, x)
+		}
+	}
+	if len(clean) == 0 {
+		return Boundaries{}, fmt.Errorf("bucketing: attribute %d sampled only NaN values", spec.Attr)
+	}
+	stats.SortFloat64s(clean)
+	return FromSortedSample(clean, spec.M)
 }

@@ -85,45 +85,6 @@ func TestMultiCountMatchesCountPerDriver(t *testing.T) {
 	}
 }
 
-func TestParallelMultiCountMatchesMultiCount(t *testing.T) {
-	opts := multiOptions()
-	rel, drivers, bounds := multiCase(t, opts)
-	want, err := MultiCount(rel, drivers, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pes := range []int{1, 2, 7, 16} {
-		got, err := ParallelMultiCount(rel, drivers, bounds, opts, pes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := range drivers {
-			g, w := got[d], want[d]
-			if !reflect.DeepEqual(g.U, w.U) || !reflect.DeepEqual(g.V, w.V) {
-				t.Errorf("pes=%d driver %d: U/V differ", pes, d)
-			}
-			if !reflect.DeepEqual(g.MinVal, w.MinVal) || !reflect.DeepEqual(g.MaxVal, w.MaxVal) {
-				t.Errorf("pes=%d driver %d: extremes differ", pes, d)
-			}
-			if g.N != w.N || g.Total != w.Total || g.NaNs != w.NaNs {
-				t.Errorf("pes=%d driver %d: totals differ", pes, d)
-			}
-			// Per-segment partial sums add in a different order, so the
-			// target sums agree only up to float rounding.
-			for k := range w.Sum {
-				for i := range w.Sum[k] {
-					if diff := g.Sum[k][i] - w.Sum[k][i]; math.Abs(diff) > 1e-6*(1+math.Abs(w.Sum[k][i])) {
-						t.Errorf("pes=%d driver %d: Sum[%d][%d] = %g, want %g", pes, d, k, i, g.Sum[k][i], w.Sum[k][i])
-					}
-				}
-			}
-		}
-	}
-	if _, err := ParallelMultiCount(rel, drivers, bounds, opts, 0); err == nil {
-		t.Error("pes=0 should be rejected")
-	}
-}
-
 func TestMultiCountValidation(t *testing.T) {
 	opts := multiOptions()
 	rel, drivers, bounds := multiCase(t, opts)

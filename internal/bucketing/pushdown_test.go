@@ -93,36 +93,3 @@ func TestMultiCountFilterPushdownOverV3(t *testing.T) {
 		t.Errorf("filtered scan read %d bytes, unfiltered read %d; zone maps pruned nothing", filtered, full)
 	}
 }
-
-// TestParallelMultiCountFilterPushdownOverV3 checks the segmented scan
-// path: per-segment pruned scans must still account every skipped row
-// in the merged totals and agree with the serial result exactly (no
-// float targets, so all statistics are integers and extremes).
-func TestParallelMultiCountFilterPushdownOverV3(t *testing.T) {
-	const n, gr = 20000, 1000
-	dr, mem := pushdownFixture(t, n, gr, 4000, 8000)
-	bounds, err := SampledBoundaries(mem, 0, 50, 40, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		Bools:         []BoolCond{{Attr: 3, Want: true}},
-		Filter:        []BoolCond{{Attr: 2, Want: true}},
-		TrackExtremes: true,
-	}
-	want, err := MultiCount(mem, []int{0}, []Boundaries{bounds}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParallelMultiCount(dr, []int{0}, []Boundaries{bounds}, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("parallel pushdown changed the counts:\n  serial memory: %+v\n  parallel v3:   %+v",
-			want[0], got[0])
-	}
-	if got[0].Total != n {
-		t.Errorf("Total = %d, want %d", got[0].Total, n)
-	}
-}

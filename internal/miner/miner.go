@@ -161,15 +161,16 @@ type Config struct {
 	Workers int
 	// MineNegations also mines rules whose objective is (C = no).
 	MineNegations bool
-	// PEs, when greater than 1, runs each counting scan with that many
-	// parallel processing elements (Algorithm 3.2) provided the relation
-	// supports range scans. Workers parallelizes ACROSS attributes; PEs
-	// segments WITHIN one attribute's scan — useful when mining a
-	// single attribute pair of a large relation. PEs sets row
-	// segmentation only: a session's unsegmented heterogeneous counting
-	// scan (mixed 1-D and 2-D batches, average queries) already uses
-	// every core inside each batch, with results bit-identical to a
-	// one-core scan.
+	// PEs sets how many parallel processing elements (Algorithm 3.2)
+	// segment each counting scan, provided the relation supports range
+	// scans. Workers parallelizes ACROSS attributes; PEs segments WITHIN
+	// one scan. 0 lets a session segment every integer-exact counting
+	// scan of a large relation into one row chunk per core, 1 forces
+	// one segment, and N > 1 sets N segments (the per-attribute legacy
+	// pipelines segment only for N > 1). A session's scan carrying
+	// average-query target sums always takes one segment, which still
+	// uses every core inside each batch. Results are bit-identical at
+	// every setting.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/relation"
@@ -305,104 +303,29 @@ func needFromCachedGroup(gk GroupKey, s *Stats1D) (*GroupNeed, error) {
 // segmentation cannot perturb the folded statistics.
 func countTail(ctx context.Context, rel relation.Relation, rs relation.RangeScanner,
 	d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
-	cols, numPos, boolPos := execLayout(groups, pairs)
-	pred := commonFilterPred(groups, pairs)
-	pes := scanParallelism(rel, d, groups, pairs)
-	if n := end - start; pes > n {
-		pes = n
-	}
-	if pes <= 1 {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
-		if err != nil {
-			return err
-		}
-		st.useCores(end - start)
-		if err := prunedOrRange(rel, rs, start, end, cols, pred, st,
-			func(b *relation.Batch) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				st.countBatch(b)
-				return nil
-			}); err != nil {
-			return fmt.Errorf("plan: delta counting: %w", err)
-		}
-		st.publish(set)
-		return nil
-	}
-	// Clip the full-relation chunk plan to the tail; chunks entirely
-	// before start drop out, the straddling chunk shrinks. Per-chunk
-	// states merge in chunk index (row) order, exactly like countGeneral.
-	full := relation.PlanScanChunks(rel, pes, cols, pred)
-	var chunks []relation.ScanChunk
-	for _, c := range full {
-		if c.End <= start || c.Start >= end {
-			continue
-		}
-		if c.Start < start {
-			c.Start = start
-			c.Pruned = false // the clipped part was priced, not this slice
-		}
-		if c.End > end {
-			c.End = end
-			c.Pruned = false
-		}
-		chunks = append(chunks, c)
-	}
-	if len(chunks) == 0 {
-		chunks = []relation.ScanChunk{{Start: start, End: end}}
-	}
-	states := make([]*execState, len(chunks))
-	errs := make([]error, len(chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := pes
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				local, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				states[i] = local
-				if chunks[i].Pruned {
-					rows := chunks[i].End - chunks[i].Start
-					for _, gs := range local.groups {
-						gs.total += rows
-					}
-					continue
-				}
-				errs[i] = prunedOrRange(rel, rs, chunks[i].Start, chunks[i].End, cols, pred, local,
-					func(b *relation.Batch) error {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						local.countBatch(b)
-						return nil
-					})
+	chunks := []relation.ScanChunk{{Start: start, End: end}}
+	pes := scanParallelism(rel, d, groups, end-start)
+	if pes > 1 {
+		// Clip the full-relation chunk plan to the tail; chunks entirely
+		// before start drop out, the straddling chunk shrinks.
+		cols, _, _ := execLayout(groups, pairs)
+		var tail []relation.ScanChunk
+		for _, c := range relation.PlanScanChunks(rel, pes, cols, commonFilterPred(groups, pairs)) {
+			if c.End <= start || c.Start >= end {
+				continue
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("plan: delta counting: %w", err)
+			if c.Start < start || c.End > end {
+				c.Start, c.End = max(c.Start, start), min(c.End, end)
+				c.Pruned = false // the clipped part was priced, not this slice
+			}
+			tail = append(tail, c)
+		}
+		if len(tail) > 0 {
+			chunks = tail
 		}
 	}
-	total := states[0]
-	for _, part := range states[1:] {
-		total.merge(part)
+	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes, d.RefKernel); err != nil {
+		return fmt.Errorf("plan: delta counting: %w", err)
 	}
-	total.publish(set)
 	return nil
 }

@@ -145,34 +145,31 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 }
 
 // scanParallelism picks the counting scan's row segment count
-// (Algorithm 3.2). Segmenting 1-D schedules stays opt-in (Config.PEs),
-// matching the one-shot pipelines; a pure pair-grid scan segments by
-// default because its merge is exact. Groups accumulating float target
-// sums force one segment, because merging float partials would make
-// totals depend on segmentation. One segment no longer means one core:
-// the general kernel's single-segment scan splits each batch across
-// every core (execState.useCores) with one writer per accumulator, so
-// it stays bit-identical to a one-core scan.
-func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pairs []*PairNeed) int {
+// (Algorithm 3.2) for a scan over rows rows. An integer-exact schedule
+// segments by default into runtime.GOMAXPROCS(0) row chunks, because
+// its counts and extremes merge exactly in chunk order; Defaults.PEs
+// overrides the default (1 forces one segment, N > 1 sets N). Scans
+// below splitRowFloor default to one segment, so small delta tails pay
+// no goroutine hand-offs. Groups accumulating float target sums force
+// one segment, because merging float partials would make totals depend
+// on segmentation. One segment does not mean one core: the general
+// kernel's single-segment scan splits each batch across every core
+// (execState.useCores) with one writer per accumulator, so it stays
+// bit-identical to a one-core scan.
+func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, rows int) int {
 	for _, g := range groups {
 		if len(g.Targets) > 0 {
 			return 1
 		}
 	}
-	pes := d.PEs
-	if pes == 0 && len(groups) == 0 {
-		pes = runtime.GOMAXPROCS(0)
-	}
-	if pes <= 1 {
-		return 1
-	}
 	if _, ok := rel.(relation.RangeScanner); !ok {
 		return 1
 	}
-	if n := rel.NumTuples(); pes > n {
-		pes = n
+	pes := d.PEs
+	if pes == 0 && rows >= splitRowFloor {
+		pes = runtime.GOMAXPROCS(0)
 	}
-	return pes
+	return max(1, min(pes, rows))
 }
 
 // countScan runs the fused counting scan for the scheduled groups and
@@ -183,62 +180,8 @@ func countScan(ctx context.Context, rel relation.Relation, d Defaults, set *Stat
 	if useScatter(rel, d, groups) {
 		return countScatter(ctx, rel, d, set, groups, pairs)
 	}
-	pes := scanParallelism(rel, d, groups, pairs)
-
-	// Fast path: a homogeneous all-1-D schedule (same filter, rows, and
-	// extremes for every group — the MineAll shape, and any single-group
-	// batch) runs on the register-optimized fused kernel.
-	if len(pairs) == 0 && homogeneous(groups) {
-		return countGroupsFused(rel, set, groups, pes)
-	}
+	pes := scanParallelism(rel, d, groups, rel.NumTuples())
 	return countGeneral(ctx, rel, set, groups, pairs, pes, d.RefKernel)
-}
-
-// homogeneous reports whether every group wants the same tally shape,
-// over distinct drivers, so bucketing.MultiCount can serve them all.
-func homogeneous(groups []*GroupNeed) bool {
-	if len(groups) == 0 {
-		return false
-	}
-	first := groups[0]
-	seen := map[int]bool{}
-	for _, g := range groups {
-		if seen[g.Driver] {
-			return false
-		}
-		seen[g.Driver] = true
-		if g.Key.Filter != first.Key.Filter || g.TrackExtremes != first.TrackExtremes {
-			return false
-		}
-		if !sameBools(g.Bools, first.Bools) || !sameInts(g.Targets, first.Targets) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBools(a, b []bucketing.BoolCond) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // boundsOf fetches a group's boundaries from the working set.
@@ -248,60 +191,6 @@ func (s *StatsSet) boundsOf(k BoundKey) (bucketing.Boundaries, error) {
 		return b, fmt.Errorf("plan: boundaries %+v missing from working set", k)
 	}
 	return b, nil
-}
-
-// countGroupsFused is the homogeneous fast path over
-// bucketing.MultiCount / ParallelMultiCount.
-func countGroupsFused(rel relation.Relation, set *StatsSet, groups []*GroupNeed, pes int) error {
-	drivers := make([]int, len(groups))
-	bounds := make([]bucketing.Boundaries, len(groups))
-	for i, g := range groups {
-		drivers[i] = g.Driver
-		b, err := set.boundsOf(BoundKey{Attr: g.Driver, M: g.Key.M, Exact: g.Key.Exact})
-		if err != nil {
-			return err
-		}
-		bounds[i] = b
-	}
-	opts := bucketing.Options{
-		Bools:         groups[0].Bools,
-		Targets:       groups[0].Targets,
-		Filter:        groups[0].Filter,
-		TrackExtremes: groups[0].TrackExtremes,
-	}
-	var cs []*bucketing.Counts
-	var err error
-	if pes > 1 {
-		rs := rel.(relation.RangeScanner) // guaranteed by scanParallelism
-		cs, err = bucketing.ParallelMultiCount(rs, drivers, bounds, opts, pes)
-	} else {
-		cs, err = bucketing.MultiCount(rel, drivers, bounds, opts)
-	}
-	if err != nil {
-		return fmt.Errorf("plan: counting: %w", err)
-	}
-	for i, g := range groups {
-		set.Groups[g.Key] = statsFromCounts(cs[i], g)
-	}
-	return nil
-}
-
-// statsFromCounts reshapes a Counts into the cached Stats1D form.
-func statsFromCounts(c *bucketing.Counts, g *GroupNeed) *Stats1D {
-	s := &Stats1D{
-		M: c.M, N: c.N, Total: c.Total, NaNs: c.NaNs,
-		U:      c.U,
-		MinVal: c.MinVal, MaxVal: c.MaxVal,
-		V:   map[bucketing.BoolCond][]int{},
-		Sum: map[int][]float64{},
-	}
-	for k, bc := range g.Bools {
-		s.V[bc] = c.V[k]
-	}
-	for k, t := range g.Targets {
-		s.Sum[t] = c.Sum[k]
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------
@@ -1008,7 +897,7 @@ func (st *execState) merge(other *execState) {
 		}
 		for k := range gs.sum {
 			for j := range gs.sum[k] {
-				//optlint:ignore floatmerge unreachable in parallel: float target sums force scanParallelism to 1 and useScatter rejects target schedules, so this fold only ever sees the single serial partial
+				//optlint:ignore floatmerge never folds a float partial: scanParallelism returns one segment for any schedule with float target sums (default row-chunking covers integer-exact schedules only), a one-chunk scan merges nothing, and useScatter rejects target schedules
 				gs.sum[k][j] += og.sum[k][j]
 			}
 		}
@@ -1144,100 +1033,87 @@ func prunedOrRange(rel relation.Relation, rs relation.RangeScanner, start, end i
 	return rel.Scan(cols, fn)
 }
 
-// countGeneral runs the general fused counting scan, serial or
-// dynamically scheduled over cost-balanced storage-aligned chunks
-// (PlanScanChunks), with the common-filter zone-map pushdown when the
-// schedule allows it. ref selects the reference per-tuple kernel.
-// Cancellation is observed between batches.
+// countGeneral runs the general fused counting scan over the whole
+// relation: one segment when pes <= 1, otherwise cost-balanced
+// storage-aligned chunks (PlanScanChunks) priced under the
+// common-filter pushdown predicate, so zone-map-pruned groups cost ~0.
+// ref selects the reference per-tuple kernel.
 func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, pes int, ref bool) error {
+	chunks := []relation.ScanChunk{{End: rel.NumTuples()}}
+	var rs relation.RangeScanner
+	if pes > 1 {
+		rs = rel.(relation.RangeScanner) // guaranteed by scanParallelism
+		cols, _, _ := execLayout(groups, pairs)
+		chunks = relation.PlanScanChunks(rel, pes, cols, commonFilterPred(groups, pairs))
+	}
+	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes, ref); err != nil {
+		return fmt.Errorf("plan: counting: %w", err)
+	}
+	return nil
+}
+
+// countChunks counts the rows of chunks into set on up to pes workers,
+// with the common-filter zone-map pushdown when the schedule allows
+// it. Workers claim chunks off a shared counter; each chunk tallies
+// into its own execState, and the states merge in chunk index (row)
+// order. The chunk plan and fold order are deterministic, so the
+// published integer statistics are bit-identical across worker counts,
+// placements, and steal orders. A lone chunk is the only counting scan
+// in flight, so it splits each batch across every core instead
+// (execState.useCores) and merges nothing. rs may be nil only when the
+// lone chunk spans the relation. The reported error is the first in
+// chunk order, not whichever worker failed first; cancellation is
+// observed between batches.
+func countChunks(ctx context.Context, rel relation.Relation, rs relation.RangeScanner, set *StatsSet,
+	groups []*GroupNeed, pairs []*PairNeed, chunks []relation.ScanChunk, pes int, ref bool) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
-	if pes <= 1 {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
+	states := make([]*execState, len(chunks))
+	errs := make([]error, len(chunks))
+	var next atomic.Int64
+	fanOut(min(pes, len(chunks)), func(int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(chunks) {
+				return
+			}
+			c := chunks[i]
+			st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			states[i] = st
+			if c.Pruned {
+				// Planner-proved empty under the pushdown predicate: no
+				// scan issued; the rows fold into every group's Total,
+				// exactly as the skip callback would settle them.
+				for _, gs := range st.groups {
+					gs.total += c.End - c.Start
+				}
+				continue
+			}
+			if len(chunks) == 1 {
+				st.useCores(c.End - c.Start)
+			}
+			errs[i] = prunedOrRange(rel, rs, c.Start, c.End, cols, pred, st,
+				func(b *relation.Batch) error {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					st.countBatch(b)
+					return nil
+				})
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		st.useCores(rel.NumTuples())
-		if err := prunedOrRange(rel, nil, 0, rel.NumTuples(), cols, pred, st,
-			func(b *relation.Batch) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				st.countBatch(b)
-				return nil
-			}); err != nil {
-			return fmt.Errorf("plan: counting: %w", err)
-		}
-		st.publish(set)
-		return nil
 	}
-	rs := rel.(relation.RangeScanner) // guaranteed by scanParallelism
-	// Zone-map-aware dynamic scheduling: the storage layer prices
-	// block-group-aligned chunks under the pushdown predicate (pruned
-	// groups ~0), pes workers claim them off a shared counter, and the
-	// per-CHUNK states merge in chunk index order. The chunk plan and
-	// fold order are deterministic, so the published integer statistics
-	// are bit-identical across worker counts, placements, and steal
-	// orders; directory-less storage degrades to the static aligned
-	// segments.
-	chunks := relation.PlanScanChunks(rel, pes, cols, pred)
-	states := make([]*execState, len(chunks))
-	// One error slot per chunk: the FIRST error in chunk (row) order is
-	// the one reported, deterministically — not whichever worker's
-	// failure happened to land on a channel first.
-	errs := make([]error, len(chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := pes
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				local, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				states[i] = local
-				if chunks[i].Pruned {
-					// Planner-proved empty under the pushdown predicate: no
-					// scan issued; the rows fold into every group's Total,
-					// exactly as the skip callback would settle them.
-					rows := chunks[i].End - chunks[i].Start
-					for _, gs := range local.groups {
-						gs.total += rows
-					}
-					continue
-				}
-				errs[i] = prunedOrRange(rel, rs, chunks[i].Start, chunks[i].End, cols, pred, local,
-					func(b *relation.Batch) error {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						local.countBatch(b)
-						return nil
-					})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("plan: counting: %w", err)
-		}
-	}
-	total := states[0]
 	for _, part := range states[1:] {
-		total.merge(part)
+		states[0].merge(part)
 	}
-	total.publish(set)
+	states[0].publish(set)
 	return nil
 }

@@ -36,10 +36,12 @@ type Defaults struct {
 	SampleFactor     int
 	ExactDomainLimit int
 	Seed             int64
-	// PEs > 1 segments the counting scan into that many row ranges
-	// (Algorithm 3.2); see scanParallelism. It sets segmentation only:
-	// a single-segment general-kernel scan uses every core inside each
-	// batch regardless (execState.useCores).
+	// PEs sets the counting scan's row segmentation (Algorithm 3.2);
+	// see scanParallelism. 0 segments integer-exact scans of at least
+	// splitRowFloor rows into runtime.GOMAXPROCS(0) chunks, 1 forces one
+	// segment, N > 1 sets N. Schedules with float target sums always
+	// take one segment, which uses every core inside each batch
+	// regardless (execState.useCores).
 	PEs int
 	// RefKernel forces the general counting scan's reference per-tuple
 	// kernel instead of the batch-vectorized one. Results are identical

@@ -13,8 +13,8 @@ import (
 
 // splitBatchRequirements resolves the split-kernel schedule: unfiltered
 // and filtered groups, float target sums (one over the NaN-holed
-// driver X), tracked extremes, and two pair grids — a mix no fast path
-// serves, so every run lands in the general kernel.
+// driver X), tracked extremes, and two pair grids — every tally shape
+// the general kernel serves.
 func splitBatchRequirements(t *testing.T, rel relation.Relation, d Defaults) *Requirements {
 	t.Helper()
 	queries := []Query{

@@ -1,10 +1,13 @@
 package relation
 
+import "sync"
+
 // CountingRelation wraps a Relation and counts the scans issued against
 // it. The paper's cost model is sequential passes over the database, so
 // tests and experiments assert on this counter — "MineAll costs one
 // sampling scan plus one counting scan" — instead of wall-clock time,
-// which is hardware dependent and flaky.
+// which is hardware dependent and flaky. Concurrent scans are safe;
+// read the counters once the scans have returned.
 type CountingRelation struct {
 	R Relation
 	// Scans is the number of Scan calls issued.
@@ -12,6 +15,8 @@ type CountingRelation struct {
 	// Rows is the total number of tuples delivered to scan callbacks
 	// (a partial scan that aborts early contributes only what it read).
 	Rows int64
+
+	mu sync.Mutex
 }
 
 // Schema implements Relation.
@@ -22,9 +27,13 @@ func (c *CountingRelation) NumTuples() int { return c.R.NumTuples() }
 
 // Scan implements Relation, counting the pass and the rows it delivers.
 func (c *CountingRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
+	c.mu.Lock()
 	c.Scans++
+	c.mu.Unlock()
 	return c.R.Scan(cols, func(b *Batch) error {
+		c.mu.Lock()
 		c.Rows += int64(b.Len)
+		c.mu.Unlock()
 		return fn(b)
 	})
 }
@@ -35,7 +44,8 @@ func (c *CountingRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 // the appended tail, never the prefix the cache already summarizes.
 // (CountingRelation deliberately does not implement RangeScanner —
 // existing tests rely on wrapped relations dropping that capability —
-// hence a separate wrapper.)
+// hence a separate wrapper.) Concurrent scans are safe; read the
+// counters once the scans have returned.
 type RangeCountingRelation struct {
 	R RangeScanner
 	// Scans counts Scan plus ScanRange calls; Rows totals delivered
@@ -45,6 +55,8 @@ type RangeCountingRelation struct {
 	// Ranges records every ScanRange's [start, end) in call order; full
 	// Scans record [0, NumTuples()).
 	Ranges [][2]int
+
+	mu sync.Mutex
 }
 
 // Schema implements Relation.
@@ -55,27 +67,39 @@ func (c *RangeCountingRelation) NumTuples() int { return c.R.NumTuples() }
 
 // Scan implements Relation.
 func (c *RangeCountingRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
-	c.Scans++
-	c.Ranges = append(c.Ranges, [2]int{0, c.R.NumTuples()})
-	return c.R.Scan(cols, func(b *Batch) error {
-		c.Rows += int64(b.Len)
-		return fn(b)
-	})
+	c.record(0, c.R.NumTuples())
+	return c.R.Scan(cols, c.rows(fn))
 }
 
 // ScanRange implements RangeScanner.
 func (c *RangeCountingRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
+	c.record(start, end)
+	return c.R.ScanRange(start, end, cols, c.rows(fn))
+}
+
+// record counts one scan over [start, end).
+func (c *RangeCountingRelation) record(start, end int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.Scans++
 	c.Ranges = append(c.Ranges, [2]int{start, end})
-	return c.R.ScanRange(start, end, cols, func(b *Batch) error {
+}
+
+// rows wraps fn to total the tuples it is delivered.
+func (c *RangeCountingRelation) rows(fn func(*Batch) error) func(*Batch) error {
+	return func(b *Batch) error {
+		c.mu.Lock()
 		c.Rows += int64(b.Len)
+		c.mu.Unlock()
 		return fn(b)
-	})
+	}
 }
 
 // MinScanned returns the lowest row any recorded scan touched, or -1
 // when no scan ran.
 func (c *RangeCountingRelation) MinScanned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	min := -1
 	for _, r := range c.Ranges {
 		if r[0] == r[1] {

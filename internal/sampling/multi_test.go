@@ -1,9 +1,11 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"optrule/internal/relation"
@@ -164,5 +166,62 @@ func TestMultiColumnWithReplacementEarlyAbort(t *testing.T) {
 	}
 	if counting.Rows != int64(wantRows) {
 		t.Errorf("scan read %d rows; want abort after batch containing last index (%d rows)", counting.Rows, wantRows)
+	}
+}
+
+// failingPoints serves point reads from a memory relation except for
+// the attributes in fail, whose reads report the request size.
+type failingPoints struct {
+	*relation.MemoryRelation
+	fail map[int]bool
+}
+
+func (f failingPoints) ReadNumericPoints(attr int, rows []int, out []float64) error {
+	if f.fail[attr] {
+		return fmt.Errorf("attribute %d: %d points unreadable", attr, len(rows))
+	}
+	return f.MemoryRelation.ReadNumericPoints(attr, rows, out)
+}
+
+// TestMultiColumnRequestsPointReadFanOut pins the per-request fan-out
+// of the point-read sampling path: the same requests and seeds draw
+// bit-identical samples at GOMAXPROCS 1 and 8, and when several
+// requests fail the reported error is the first failing request's,
+// whichever worker fails first.
+func TestMultiColumnRequestsPointReadFanOut(t *testing.T) {
+	rel := twoColumnRelation(t, 20000)
+	sizes := []struct{ attr, s int }{{0, 500}, {1, 200}, {1, 300}, {0, 0}, {0, 40}}
+	draw := func(rel relation.Relation, procs int) ([]MultiSample, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		reqs := make([]ColumnRequest, len(sizes))
+		for k, sz := range sizes {
+			reqs[k] = ColumnRequest{Attr: sz.attr, S: sz.s, Rng: rand.New(rand.NewSource(int64(7 + k)))}
+		}
+		return MultiColumnRequests(rel, reqs)
+	}
+	want, err := draw(rel, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := draw(rel, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if len(got[k].Sample) != sizes[k].s {
+			t.Fatalf("request %d: %d samples, want %d", k, len(got[k].Sample), sizes[k].s)
+		}
+		for i := range want[k].Sample {
+			if math.Float64bits(got[k].Sample[i]) != math.Float64bits(want[k].Sample[i]) {
+				t.Fatalf("request %d: sample[%d] differs between GOMAXPROCS 1 and 8", k, i)
+			}
+		}
+	}
+	failing := failingPoints{rel, map[int]bool{1: true}}
+	for i := 0; i < 20; i++ {
+		_, err := draw(failing, 8)
+		if err == nil || err.Error() != "attribute 1: 200 points unreadable" {
+			t.Fatalf("run %d: error %v, want the first failing request's (200 points)", i, err)
+		}
 	}
 }

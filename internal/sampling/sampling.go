@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"optrule/internal/relation"
 )
@@ -236,12 +239,17 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 		colOf[k] = p
 	}
 	if pr, ok := rel.(relation.NumericPointReader); ok && !anyTracking {
-		for k := range reqs {
-			sample := make([]float64, len(idx[k]))
-			if err := pr.ReadNumericPoints(reqs[k].Attr, idx[k], sample); err != nil {
+		// Each request reads into its own output slot on its own worker;
+		// the reported error is the first in request order.
+		errs := make([]error, len(reqs))
+		FanOut(len(reqs), func(k int) {
+			out[k].Sample = make([]float64, len(idx[k]))
+			errs[k] = pr.ReadNumericPoints(reqs[k].Attr, idx[k], out[k].Sample)
+		})
+		for _, err := range errs {
+			if err != nil {
 				return nil, err
 			}
-			out[k].Sample = sample
 		}
 		return out, nil
 	}
@@ -327,6 +335,33 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 		}
 	}
 	return out, nil
+}
+
+// FanOut runs fn(k) for every k in [0, n) on up to
+// runtime.GOMAXPROCS(0) goroutines and returns once every call has.
+// fn must write only state owned by its k; results then do not depend
+// on the worker count. The point-read sampling pass fans out per
+// request with it, and bucketing's boundary build per spec.
+func FanOut(n int, fn func(k int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Reservoir maintains a uniform without-replacement sample of a stream

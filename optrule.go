@@ -182,12 +182,13 @@
 //     materialized in at most TWO relation scans regardless of batch
 //     size or mix: one fused sampling scan builds every missing
 //     boundary set, one fused counting scan fills every missing count
-//     group and pair grid (segmented across processing elements on
-//     range-scanning storage). Same-shape batches take the fused
-//     MultiCount path; heterogeneous batches run a batch-vectorized
+//     group and pair grid. Every batch runs one batch-vectorized
 //     general kernel — per-batch columnar passes over precomputed
 //     effective-bucket arrays instead of per-tuple branching — pinned
-//     bit-identical to its per-tuple reference. When every group in
+//     bit-identical to its per-tuple reference. On range-scanning
+//     storage an integer-exact scan is row-chunked across every core;
+//     a scan carrying average-query float sums stays one segment and
+//     splits each batch across the cores instead. When every group in
 //     the batch shares one conjunctive filter, the filter is pushed
 //     into the storage layer, where v3 zone maps skip whole block
 //     groups that provably contain no matching row.
