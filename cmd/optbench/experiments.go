@@ -262,24 +262,6 @@ func runAppend(full bool, seed int64) (any, error) {
 	return res, nil
 }
 
-func runTwoDim(full bool, seed int64) (any, error) {
-	n := 200000
-	attrCounts := []int{2, 4, 6}
-	sides := []int{16, 32, 64}
-	targeted := []int{64, 128, 256}
-	if full {
-		n = 1000000
-		attrCounts = []int{2, 4, 8}
-	}
-	res, err := experiments.TwoDim(n, attrCounts, sides, targeted, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
 func runParallel(full bool, seed int64) (any, error) {
 	n := 1000000
 	if full {

@@ -17,11 +17,9 @@
 // cluster (prunable layouts end to end: clustered-vs-shuffled filtered
 // read bytes, plus static-vs-work-stealing predicated parallel scan
 // wall-clock per PE count, rule-deviation hard-fail),
-// kernel (general counting kernel: batch-vectorized vs reference
-// per-tuple vs the homogeneous bucketing.MultiCount, ns/row), twodim
-// (fused all-pairs 2-D engine vs legacy per-pair pipeline: wall-clock
-// and bytes vs pair count and grid side, plus a single-pair all-kinds
-// deep-grid sweep), shards (sharded backend: single-file vs 2/4/8-shard
+// kernel (the general counting kernel vs the homogeneous
+// bucketing.MultiCount, ns/row, statistic-deviation hard-fail), shards
+// (sharded backend: single-file vs 2/4/8-shard
 // MineAll, serial and concurrent sub-scans, counted bytes), batch
 // (plan/execute session: a mixed B-query workload per-query vs batched
 // vs session-cached re-query, wall-clock and counted bytes), append
@@ -59,7 +57,7 @@ type report struct {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("optbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig1, table1, fig9, fig9disk, fig10, fig11, par, ablate, regions, fused, colscan, v3scan, cluster, kernel, twodim, shards, batch, append, scatter, or all")
+	exp := fs.String("exp", "all", "experiment: fig1, table1, fig9, fig9disk, fig10, fig11, par, ablate, regions, fused, colscan, v3scan, cluster, kernel, shards, batch, append, scatter, or all")
 	full := fs.Bool("full", false, "paper-scale sizes (slow; needs several GB of RAM for fig9)")
 	seed := fs.Int64("seed", 1, "random seed")
 	jsonPath := fs.String("json", "", "also write structured results as JSON to this file (e.g. BENCH_optbench.json)")
@@ -96,7 +94,6 @@ func run(args []string) error {
 		{"v3scan", runV3Scan},
 		{"cluster", runCluster},
 		{"kernel", runKernel},
-		{"twodim", runTwoDim},
 		{"shards", runShards},
 		{"batch", runBatch},
 		{"append", runAppend},

@@ -93,7 +93,7 @@ func main() {
 		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
 			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
 				Seed: int64(i), FailProb: 0.33, FailAfterRows: 10000,
-			}), false)
+			}))
 		},
 		Backoff: time.Millisecond,
 		Stats:   &stats,
@@ -117,7 +117,7 @@ func main() {
 		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
 			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
 				FailEvery: 1, // every scan, forever
-			}), false)
+			}))
 		},
 		MaxAttempts: 2,
 		Backoff:     time.Millisecond,

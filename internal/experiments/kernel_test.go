@@ -7,19 +7,19 @@ import (
 )
 
 // TestKernelExperimentRuns runs the counting-kernel comparison at a
-// small scale: it must produce all three timings, and the kernel
-// differential inside Kernel (reference vs vectorized statistics)
-// must hold — any deviation is an error, not a benchmark number.
+// small scale: it must produce both timings, and the check inside
+// Kernel (general-kernel groups vs MultiCount's counts) must hold —
+// any deviation is an error, not a benchmark number.
 func TestKernelExperimentRuns(t *testing.T) {
 	res, err := Kernel(30000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FastPathSeconds <= 0 || res.RefSeconds <= 0 || res.VecSeconds <= 0 {
+	if res.FastPathSeconds <= 0 || res.VecSeconds <= 0 {
 		t.Errorf("missing timings: %+v", res)
 	}
-	if res.VecSpeedup <= 0 || res.GapToFast <= 0 {
-		t.Errorf("ratios not computed: %+v", res)
+	if res.GapToFast <= 0 {
+		t.Errorf("ratio not computed: %+v", res)
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

@@ -126,7 +126,7 @@ func Scatter(n int, shards int, workerCounts []int, seed int64) (ScatterResult, 
 	cfg.Scatter = miner.ScatterConfig{
 		Workers: workers,
 		NewWorker: func(i int, rel relation.Relation) miner.Worker {
-			return miner.NewLocalWorker(fr, false)
+			return miner.NewLocalWorker(fr)
 		},
 		Stats: &stats,
 	}

@@ -26,8 +26,8 @@ import (
 //  1. one fused sampling scan (sampling.MultiColumnRequests via
 //     bucketing.MultiSampledBoundarySpecs) draws every attribute's
 //     Algorithm 3.1 sample and builds per-attribute grid boundaries —
-//     the same per-attribute random streams the 1-D pipeline and the
-//     legacy per-pair path consume, so boundaries are bit-identical;
+//     the same per-attribute random streams (plan.AttrRNG) every 1-D
+//     query consumes, so boundaries are bit-identical;
 //  2. one fused counting scan locates each tuple's bucket ONCE per
 //     attribute and then fills all d(d−1)/2 pair grids. On relations
 //     that support range scans the counting scan is segmented across
@@ -90,8 +90,7 @@ type Result2D struct {
 // fused sampling scan, one fused counting scan — run by the plan
 // executor of a throwaway Session). Pairs with no tuple where both
 // attributes are finite are skipped. Output is rule-for-rule identical
-// to running the legacy per-pair pipeline (Mine2DPerPair) for each
-// pair and kind.
+// to mining each pair and kind on its own (Mine2D, MineXMonotone, …).
 func MineAll2D(rel relation.Relation, opt Options2D, cfg Config) (*Result2D, error) {
 	s, err := NewSession(rel, cfg)
 	if err != nil {
@@ -104,9 +103,9 @@ func MineAll2D(rel relation.Relation, opt Options2D, cfg Config) (*Result2D, err
 // first attribute, columns the second, and the observed per-bucket
 // value extremes translate bucket ranges back to closed value ranges.
 // A tuple counts toward a pair iff BOTH its values are finite, so the
-// extremes are tracked per pair, not per attribute — exactly the
-// legacy per-pair semantics. The grids and extremes are produced (and
-// cached) by the plan executor's fused counting scan.
+// extremes are tracked per pair, not per attribute. The grids and
+// extremes are produced (and cached) by the plan executor's fused
+// counting scan.
 type pair2D struct {
 	ai, bi int // indices into the engine's attribute list
 	grid   *region.Grid

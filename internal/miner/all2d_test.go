@@ -1,10 +1,10 @@
 package miner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"optrule/internal/datagen"
@@ -54,10 +54,11 @@ func twoDimRelations(t *testing.T, n int) map[string]relation.Relation {
 	return rels
 }
 
-// TestMine2DFusedMatchesPerPair pins the rebuilt Mine2D (fused
-// sampling + parallel kernels, two scans) rule-for-rule identical to
-// the legacy per-pair pipeline (two sampling passes + serial kernels,
-// three scans) across generators, storage backends, and rule kinds.
+// TestMine2DFusedMatchesPerPair pins Mine2D (fused sampling + parallel
+// kernels, two scans) rule-for-rule identical to the brute-force
+// oracle's per-pair recount (single-attribute sampling, comparison-loop
+// grid, O(M⁴) rectangle enumeration) across generators, storage
+// backends, and rule kinds.
 func TestMine2DFusedMatchesPerPair(t *testing.T) {
 	cfg := Config{MinSupport: 0.02, MinConfidence: 0.5, Seed: 7}
 	for name, rel := range twoDimRelations(t, 6000) {
@@ -65,18 +66,13 @@ func TestMine2DFusedMatchesPerPair(t *testing.T) {
 		nums := s.NumericIndices()
 		a, b := s[nums[0]].Name, s[nums[1]].Name
 		obj := s[s.BooleanIndices()[0]].Name
+		o := newOracle(t, rel, cfg)
 		for _, kind := range []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain} {
 			fused, err := Mine2D(rel, a, b, obj, true, kind, 24, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: fused: %v", name, kind, err)
 			}
-			legacy, err := Mine2DPerPair(rel, a, b, obj, true, kind, 24, cfg)
-			if err != nil {
-				t.Fatalf("%s/%v: legacy: %v", name, kind, err)
-			}
-			if !reflect.DeepEqual(fused, legacy) {
-				t.Errorf("%s/%v:\nfused:  %+v\nlegacy: %+v", name, kind, fused, legacy)
-			}
+			requireDeepEqual(t, fmt.Sprintf("%s/%v", name, kind), fused, o.mine2D(a, b, obj, true, kind, 24))
 		}
 	}
 }
@@ -90,8 +86,9 @@ func TestRegionFusedMatchesPerPair(t *testing.T) {
 		nums := s.NumericIndices()
 		a, b := s[nums[0]].Name, s[nums[1]].Name
 		obj := s[s.BooleanIndices()[0]].Name
+		o := newOracle(t, rel, cfg)
 		for _, class := range []RegionClass{XMonotoneClass, RectilinearConvexClass} {
-			var fused, legacy *RegionRule
+			var fused *RegionRule
 			var err error
 			switch class {
 			case XMonotoneClass:
@@ -102,24 +99,19 @@ func TestRegionFusedMatchesPerPair(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: fused: %v", name, class, err)
 			}
-			legacy, err = mineRegionPerPair(rel, a, b, obj, true, 16, cfg, class)
-			if err != nil {
-				t.Fatalf("%s/%v: legacy: %v", name, class, err)
-			}
-			if !reflect.DeepEqual(fused, legacy) {
-				t.Errorf("%s/%v:\nfused:  %+v\nlegacy: %+v", name, class, fused, legacy)
-			}
-			if legacy == nil {
-				t.Logf("%s/%v: no region with positive gain (still a valid differential point)", name, class)
+			want := o.region(a, b, obj, true, class, 16)
+			requireDeepEqual(t, fmt.Sprintf("%s/%v", name, class), fused, want)
+			if want == nil {
+				t.Logf("%s/%v: no region with positive gain (still a valid comparison point)", name, class)
 			}
 		}
 	}
 }
 
 // TestMineAll2DMatchesPerPairUnion pins the all-pairs engine against
-// the union of legacy per-pair results: every (pair, kind) rectangle
-// and every (pair, class) region must appear, identically, and nothing
-// else.
+// the oracle's union of per-pair results: every (pair, kind) rectangle
+// and every (pair, class) region, identically, in the same lift and
+// gain order, and nothing else.
 func TestMineAll2DMatchesPerPairUnion(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -150,82 +142,23 @@ func TestMineAll2DMatchesPerPairUnion(t *testing.T) {
 		t.Errorf("Pairs = %d, want %d", res.Pairs, wantPairs)
 	}
 
-	var wantRules []Rule2D
-	var wantRegions []RegionRule
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			for _, kind := range kinds {
-				r, err := Mine2DPerPair(rel, names[i], names[j], obj, true, kind, 16, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r != nil {
-					wantRules = append(wantRules, *r)
-				}
-			}
-			for _, class := range classes {
-				r, err := mineRegionPerPair(rel, names[i], names[j], obj, true, 16, cfg, class)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r != nil {
-					wantRegions = append(wantRegions, *r)
-				}
-			}
-		}
+	want := newOracle(t, rel, cfg).mineAll2D(Options2D{
+		Numerics: names, Objective: obj, ObjectiveValue: true,
+		Kinds: kinds, Regions: classes, GridSide: 16,
+	})
+	if len(want.Rules) == 0 || len(want.Regions) == 0 {
+		t.Fatalf("degenerate test: %d rules, %d regions from the oracle",
+			len(want.Rules), len(want.Regions))
 	}
-	if len(wantRules) == 0 || len(wantRegions) == 0 {
-		t.Fatalf("degenerate differential test: %d rules, %d regions from the legacy path",
-			len(wantRules), len(wantRegions))
-	}
-	if len(res.Rules) != len(wantRules) {
-		t.Fatalf("MineAll2D mined %d rectangle rules, legacy union %d", len(res.Rules), len(wantRules))
-	}
-	// MineAll2D sorts by lift; match rules by identity regardless of order.
-	for _, want := range wantRules {
-		found := false
-		for _, got := range res.Rules {
-			if reflect.DeepEqual(got, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("legacy rule missing from MineAll2D: %+v", want)
-		}
-	}
-	if len(res.Regions) != len(wantRegions) {
-		t.Fatalf("MineAll2D mined %d region rules, legacy union %d", len(res.Regions), len(wantRegions))
-	}
-	for _, want := range wantRegions {
-		found := false
-		for _, got := range res.Regions {
-			if reflect.DeepEqual(got, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("legacy region missing from MineAll2D: %+v", want)
-		}
-	}
-	// Sort invariants.
-	for i := 1; i < len(res.Rules); i++ {
-		if res.Rules[i-1].Lift() < res.Rules[i].Lift() {
-			t.Errorf("Rules not sorted by lift at %d", i)
-		}
-	}
-	for i := 1; i < len(res.Regions); i++ {
-		if res.Regions[i-1].Gain < res.Regions[i].Gain {
-			t.Errorf("Regions not sorted by gain at %d", i)
-		}
-	}
+	requireDeepEqual(t, "MineAll2D rules", res.Rules, want.Rules)
+	requireDeepEqual(t, "MineAll2D regions", res.Regions, want.Regions)
+	requireDeepEqual(t, "MineAll2D pairs", res.Pairs, want.Pairs)
 }
 
 // TestMine2DFusedMatchesPerPairNaN pins the NaN corner: a tuple joins
 // a pair's grid (and its value-range extremes) only when BOTH values
-// are finite, so per-pair extreme tracking must match the legacy
-// path's row filtering exactly.
+// are non-NaN, so per-pair extreme tracking must match the oracle's
+// row filtering exactly.
 func TestMine2DFusedMatchesPerPairNaN(t *testing.T) {
 	rel := relation.MustNewMemoryRelation(relation.Schema{
 		{Name: "A", Kind: relation.Numeric},
@@ -248,27 +181,24 @@ func TestMine2DFusedMatchesPerPairNaN(t *testing.T) {
 		rel.MustAppend([]float64{a, b, c}, []bool{hot && rng.Float64() < 0.8 || rng.Float64() < 0.05})
 	}
 	cfg := Config{MinSupport: 0.02, MinConfidence: 0.5, Seed: 9}
+	o := newOracle(t, rel, cfg)
 	for _, pair := range [][2]string{{"A", "B"}, {"B", "C"}, {"A", "C"}} {
 		for _, kind := range []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain} {
 			fused, err := Mine2D(rel, pair[0], pair[1], "Hit", true, kind, 20, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v fused: %v", pair, kind, err)
 			}
-			legacy, err := Mine2DPerPair(rel, pair[0], pair[1], "Hit", true, kind, 20, cfg)
-			if err != nil {
-				t.Fatalf("%v/%v legacy: %v", pair, kind, err)
-			}
-			if !reflect.DeepEqual(fused, legacy) {
-				t.Errorf("%v/%v:\nfused:  %+v\nlegacy: %+v", pair, kind, fused, legacy)
-			}
+			requireDeepEqual(t, fmt.Sprintf("%v/%v", pair, kind), fused,
+				o.mine2D(pair[0], pair[1], "Hit", true, kind, 20))
 		}
 	}
 }
 
 // TestMineAll2DTwoScans pins the fused 2-D pipeline's cost model: over
 // a relation with d numeric attributes (d(d−1)/2 pairs), MineAll2D
-// performs exactly one sampling scan plus one counting scan, while the
-// legacy per-pair path pays three scans per pair.
+// performs exactly one sampling scan plus one counting scan, where
+// sampling each axis and counting each pair separately would pay three
+// scans per pair.
 func TestMineAll2DTwoScans(t *testing.T) {
 	for _, numAttrs := range []int{4, 6} {
 		shape, err := datagen.NewPerfShape(numAttrs, 2, nil)
@@ -298,21 +228,6 @@ func TestMineAll2DTwoScans(t *testing.T) {
 		// satisfied, so total rows delivered are at most two full passes.
 		if max := int64(2 * disk.NumTuples()); counting.Rows > max {
 			t.Errorf("attrs=%d: scans delivered %d rows, want <= %d", numAttrs, counting.Rows, max)
-		}
-		// The legacy path costs 3 scans PER PAIR on the same relation —
-		// the gap the fused engine exists to close.
-		countingLegacy := &relation.CountingRelation{R: disk}
-		nums := s.NumericIndices()
-		for i := 0; i < len(nums); i++ {
-			for j := i + 1; j < len(nums); j++ {
-				if _, err := Mine2DPerPair(countingLegacy, s[nums[i]].Name, s[nums[j]].Name,
-					obj, true, OptimizedConfidence, 16, Config{Seed: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if want := 3 * pairs; countingLegacy.Scans != want {
-			t.Errorf("attrs=%d: legacy issued %d scans, want %d", numAttrs, countingLegacy.Scans, want)
 		}
 	}
 }

@@ -40,18 +40,6 @@ func TestMineAllSurfacesScanErrors(t *testing.T) {
 			t.Fatalf("failOn=%d: unexpected error: %v", failOn, err)
 		}
 	}
-	// The legacy per-attribute path scans once per attribute per phase;
-	// fail deeper positions there.
-	for failOn := 1; failOn <= 4; failOn++ {
-		rel := &faultyRelation{Relation: base, failOn: int64(failOn)}
-		_, err := mineAllPerAttribute(rel, Config{Buckets: 50, Seed: 1, Workers: 1})
-		if err == nil {
-			t.Fatalf("legacy failOn=%d: injected fault swallowed", failOn)
-		}
-		if !strings.Contains(err.Error(), "injected fault") {
-			t.Fatalf("legacy failOn=%d: unexpected error: %v", failOn, err)
-		}
-	}
 }
 
 func TestMineAllSurfacesErrorsUnderConcurrency(t *testing.T) {
@@ -64,12 +52,6 @@ func TestMineAllSurfacesErrorsUnderConcurrency(t *testing.T) {
 		if _, err := MineAll(rel, Config{Buckets: 50, Seed: 1, Workers: 8}); err == nil {
 			t.Fatal("injected fault swallowed with concurrent workers")
 		}
-	}
-	// Legacy path: workers scan concurrently, so a mid-stream fault
-	// races against healthy scans.
-	rel := &faultyRelation{Relation: base, failOn: 3}
-	if _, err := mineAllPerAttribute(rel, Config{Buckets: 50, Seed: 1, Workers: 8}); err == nil {
-		t.Fatal("injected fault swallowed with concurrent workers (legacy)")
 	}
 }
 

@@ -57,31 +57,11 @@ func BenchmarkMineAllFusedMemory(b *testing.B) {
 	}
 }
 
-func BenchmarkMineAllLegacyMemory(b *testing.B) {
-	mem := benchMemRelation(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mineAllPerAttribute(mem, Config{Buckets: 1000, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMineAllFusedDisk(b *testing.B) {
 	disk := benchDiskRelation(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MineAll(disk, Config{Buckets: 1000, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMineAllLegacyDisk(b *testing.B) {
-	disk := benchDiskRelation(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mineAllPerAttribute(disk, Config{Buckets: 1000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,23 +30,30 @@ func diskOf(t *testing.T, src datagen.RowSource, n int, seed int64) *relation.Di
 }
 
 // sameRules requires rule-for-rule identity, including floating-point
-// fields: the fused pipeline draws bit-identical samples and counts in
-// the same row order, so results must not merely be close — they must
-// be equal.
-func sameRules(t *testing.T, name string, fused, legacy *Result) {
+// fields: both results draw bit-identical samples and count in the same
+// row order, so they must not merely be close — they must be equal.
+func sameRules(t *testing.T, name string, got, want *Result) {
 	t.Helper()
-	if len(fused.Rules) != len(legacy.Rules) {
-		t.Fatalf("%s: fused mined %d rules, legacy %d", name, len(fused.Rules), len(legacy.Rules))
+	sameRuleList(t, name, got.Rules, want.Rules)
+}
+
+// sameRuleList is sameRules over bare rule lists.
+func sameRuleList(t *testing.T, name string, got, want []Rule) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: mined %d rules, want %d", name, len(got), len(want))
 	}
-	for i := range fused.Rules {
-		if !reflect.DeepEqual(fused.Rules[i], legacy.Rules[i]) {
-			t.Errorf("%s: rule %d differs:\nfused:  %+v\nlegacy: %+v",
-				name, i, fused.Rules[i], legacy.Rules[i])
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: rule %d differs:\ngot:  %+v\nwant: %+v", name, i, got[i], want[i])
 		}
 	}
 }
 
-func TestMineAllFusedMatchesLegacy(t *testing.T) {
+// TestMineAllFusedMatchesOracle pins the fused MineAll rule-for-rule
+// against the brute-force oracle on bank and retail data, in memory and
+// on disk, across the config matrix.
+func TestMineAllFusedMatchesOracle(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,33 +83,31 @@ func TestMineAllFusedMatchesLegacy(t *testing.T) {
 		}
 		disk := diskOf(t, g.gen, 8000, 42)
 		for _, c := range cfgs {
+			want := newOracle(t, mem, c.cfg).mineAll()
+			if len(want) == 0 {
+				t.Errorf("%s/%s: degenerate test, no rules mined", g.name, c.name)
+			}
 			fusedMem, err := MineAll(mem, c.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: fused memory: %v", g.name, c.name, err)
 			}
-			legacy, err := mineAllPerAttribute(mem, c.cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: legacy: %v", g.name, c.name, err)
-			}
-			sameRules(t, g.name+"/"+c.name+"/memory", fusedMem, legacy)
-			if len(legacy.Rules) == 0 {
-				t.Errorf("%s/%s: degenerate differential test, no rules mined", g.name, c.name)
-			}
+			sameRuleList(t, g.name+"/"+c.name+"/memory", fusedMem.Rules, want)
 
 			fusedDisk, err := MineAll(disk, c.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: fused disk: %v", g.name, c.name, err)
 			}
-			sameRules(t, g.name+"/"+c.name+"/disk", fusedDisk, legacy)
+			sameRuleList(t, g.name+"/"+c.name+"/disk", fusedDisk.Rules, want)
 		}
 	}
 }
 
-// TestMineAllFusedMatchesLegacyNaNExactDomains pins the hard identity
+// TestMineAllFusedMatchesOracleNaNExactDomains pins the hard identity
 // corner: a small-domain attribute polluted with NaNs must not get
-// finest buckets on EITHER path (NaN can't be a well-ordered cut), so
-// both fall back to sampled boundaries and stay rule-identical.
-func TestMineAllFusedMatchesLegacyNaNExactDomains(t *testing.T) {
+// finest buckets (NaN can't be a well-ordered cut), so the session
+// falls back to sampled boundaries exactly as the oracle's
+// single-attribute sampler does, and the rules stay identical.
+func TestMineAllFusedMatchesOracleNaNExactDomains(t *testing.T) {
 	rel := relation.MustNewMemoryRelation(relation.Schema{
 		{Name: "Grade", Kind: relation.Numeric}, // 6 distinct values + NaNs
 		{Name: "Score", Kind: relation.Numeric},
@@ -121,12 +126,9 @@ func TestMineAllFusedMatchesLegacyNaNExactDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := mineAllPerAttribute(rel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRules(t, "nan-exact-domains", fused, legacy)
-	if len(legacy.Rules) == 0 {
+	want := newOracle(t, rel, cfg).mineAll()
+	sameRuleList(t, "nan-exact-domains", fused.Rules, want)
+	if len(want) == 0 {
 		t.Error("degenerate test: no rules mined")
 	}
 }
@@ -158,15 +160,6 @@ func TestMineAllTwoScansOnDisk(t *testing.T) {
 		if max := int64(2 * disk.NumTuples()); counting.Rows > max {
 			t.Errorf("attrs=%d: scans delivered %d rows, want <= %d (two full passes)",
 				numAttrs, counting.Rows, max)
-		}
-		// The legacy path must cost d+1 scans on the same relation — the
-		// gap the fused engine exists to close.
-		countingLegacy := &relation.CountingRelation{R: disk}
-		if _, err := mineAllPerAttribute(countingLegacy, Config{Buckets: 100, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if want := 2 * numAttrs; countingLegacy.Scans != want {
-			t.Errorf("attrs=%d: legacy issued %d scans, want %d", numAttrs, countingLegacy.Scans, want)
 		}
 	}
 }

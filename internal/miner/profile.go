@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"optrule/internal/bucketing"
 	"optrule/internal/relation"
 )
 
@@ -31,37 +30,33 @@ type ProfileBucket struct {
 }
 
 // BuildProfile computes a Profile with the given number of buckets
-// (coarser than mining resolution, intended for display).
+// (coarser than mining resolution, intended for display). It is a
+// session query: a throwaway Session samples and counts the driver in
+// its usual two scans.
 func BuildProfile(rel relation.Relation, numeric, objective string, objectiveValue bool,
 	buckets int, cfg Config) (*Profile, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if buckets < 1 {
 		return nil, fmt.Errorf("miner: profile bucket count %d must be positive", buckets)
 	}
-	s := rel.Schema()
-	numAttr := s.Index(numeric)
-	if numAttr < 0 || s[numAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", numeric)
-	}
-	objAttr := s.Index(objective)
-	if objAttr < 0 || s[objAttr].Kind != relation.Boolean {
-		return nil, fmt.Errorf("miner: %q is not a Boolean attribute", objective)
-	}
-	if rel.NumTuples() == 0 {
-		return nil, fmt.Errorf("miner: empty relation")
-	}
-	rng := attrRNG(cfg.Seed, numAttr)
-	bounds, err := bucketing.SampledBoundaries(rel, numAttr, buckets, cfg.SampleFactor, rng)
+	s, err := NewSession(rel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := bucketing.Count(rel, numAttr, bounds, bucketing.Options{
-		Bools:         []bucketing.BoolCond{{Attr: objAttr, Want: objectiveValue}},
-		TrackExtremes: true,
-	})
+	return s.profile(numeric, objective, objectiveValue, buckets)
+}
+
+// profile materializes the statistic a top-k query over (numeric,
+// objective) reads — the driver's sampled buckets, never promoted to
+// finest buckets, with one objective row and the value extremes — and
+// renders it bucket by bucket instead of extracting ranges.
+func (s *Session) profile(numeric, objective string, objectiveValue bool, buckets int) (*Profile, error) {
+	q := Query{Op: OpTopK, Numeric: numeric, Objective: objective,
+		ObjectiveValue: objectiveValue, Buckets: buckets, K: 1}
+	r, set, err := s.materialize(q)
+	if err != nil {
+		return nil, err
+	}
+	counts, err := set.Groups[r.Keys[0]].Counts(r.Objs, nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -88,3 +88,15 @@ func TestBuildProfileValidation(t *testing.T) {
 		t.Errorf("zero buckets accepted")
 	}
 }
+
+// TestBuildProfileMatchesOracle pins the session-built profile bucket
+// for bucket against the brute-force oracle's recount.
+func TestBuildProfileMatchesOracle(t *testing.T) {
+	rel := twoClusterRelation(t, 30000)
+	cfg := Config{Seed: 1}
+	prof, err := BuildProfile(rel, "X", "B", true, 20, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDeepEqual(t, "profile", prof, newOracle(t, rel, cfg).profile("X", "B", true, 20))
+}

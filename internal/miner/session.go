@@ -22,8 +22,8 @@ import (
 // scan nothing), and the Section 4 / §1.4 rule optimizations then
 // EXTRACT answers from the in-memory statistics. The one-shot package
 // functions (MineAll, Mine, MineTopK, …) are thin wrappers over a
-// throwaway session, pinned rule-for-rule identical to the
-// pre-session pipelines by differential tests.
+// throwaway session, pinned rule-for-rule against a brute-force oracle
+// by the package tests.
 
 // Query is the session IR: one mining request. See the plan package
 // for field semantics; the zero value of each optional field selects
@@ -762,4 +762,24 @@ func (s *Session) one(q Query) (*Answer, error) {
 		return nil, answers[0].Err
 	}
 	return &answers[0], nil
+}
+
+// materialize resolves one query and materializes the statistics it
+// reads, exactly as a one-query batch would, without extracting an
+// answer.
+func (s *Session) materialize(q Query) (*plan.Resolved, *plan.StatsSet, error) {
+	s.refreshMu.RLock()
+	defer s.refreshMu.RUnlock()
+	r, err := plan.Resolve(s.rel, s.d, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	req := plan.NewRequirements()
+	req.Gen = s.gen
+	req.Add(r)
+	set, err := plan.Run(s.rel, s.d, s.c, req)
+	if err != nil {
+		return nil, nil, fmt.Errorf("miner: materializing statistics: %w", err)
+	}
+	return r, set, nil
 }

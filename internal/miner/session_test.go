@@ -57,20 +57,19 @@ func sessionBackends(t *testing.T, src datagen.RowSource, n int, seed int64) []s
 }
 
 // requireDeepEqual fails unless got and want are deeply equal —
-// including every floating-point field, since the session engine draws
-// bit-identical samples and counts in the same row order as the legacy
-// pipelines.
+// including every floating-point field: the session and the oracle
+// draw bit-identical samples and accumulate in the same row order.
 func requireDeepEqual(t *testing.T, name string, got, want any) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s differs:\nsession: %+v\nlegacy:  %+v", name, got, want)
+		t.Errorf("%s differs:\ngot:  %+v\nwant: %+v", name, got, want)
 	}
 }
 
-// TestSessionEntryPointsMatchLegacy pins every wrapped one-shot entry
-// point rule-for-rule identical to its pre-session implementation on
-// bank and retail data across all four storage backends.
-func TestSessionEntryPointsMatchLegacy(t *testing.T) {
+// TestSessionEntryPointsMatchOracle pins every wrapped one-shot entry
+// point rule-for-rule identical to the brute-force oracle on bank and
+// retail data across all four storage backends.
+func TestSessionEntryPointsMatchOracle(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -98,27 +97,20 @@ func TestSessionEntryPointsMatchLegacy(t *testing.T) {
 		for _, b := range sessionBackends(t, g.gen, 6000, 23) {
 			name := g.name + "/" + b.name
 			rel := b.rel
+			o := newOracle(t, rel, cfg)
 
 			gotAll, err := MineAll(rel, cfg)
 			if err != nil {
 				t.Fatalf("%s MineAll: %v", name, err)
 			}
-			wantAll, err := mineAllPerAttribute(rel, cfg)
-			if err != nil {
-				t.Fatalf("%s legacy MineAll: %v", name, err)
-			}
-			requireDeepEqual(t, name+" MineAll rules", gotAll.Rules, wantAll.Rules)
+			requireDeepEqual(t, name+" MineAll rules", gotAll.Rules, o.mineAll())
 
 			gotSup, gotConf, err := Mine(rel, g.p.numeric, g.p.objective, true,
 				[]Condition{g.p.cond}, cfg)
 			if err != nil {
 				t.Fatalf("%s Mine: %v", name, err)
 			}
-			wantSup, wantConf, err := legacyMine(rel, g.p.numeric, g.p.objective, true,
-				[]Condition{g.p.cond}, cfg)
-			if err != nil {
-				t.Fatalf("%s legacy Mine: %v", name, err)
-			}
+			wantSup, wantConf := o.mine(g.p.numeric, g.p.objective, true, []Condition{g.p.cond})
 			requireDeepEqual(t, name+" Mine support", gotSup, wantSup)
 			requireDeepEqual(t, name+" Mine confidence", gotConf, wantConf)
 
@@ -127,52 +119,39 @@ func TestSessionEntryPointsMatchLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s MineTopK: %v", name, err)
 				}
-				want, err := legacyMineTopK(rel, g.p.numeric, g.p.objective, true, kind, 3, cfg)
-				if err != nil {
-					t.Fatalf("%s legacy MineTopK: %v", name, err)
-				}
-				requireDeepEqual(t, fmt.Sprintf("%s MineTopK %v", name, kind), got, want)
+				requireDeepEqual(t, fmt.Sprintf("%s MineTopK %v", name, kind), got,
+					o.topK(g.p.numeric, g.p.objective, true, kind, 3))
 			}
 
 			gotAvg, err := MaxAverageRange(rel, g.p.numeric, g.p.target, 0.10, cfg)
 			if err != nil {
 				t.Fatalf("%s MaxAverageRange: %v", name, err)
 			}
-			wantAvg, err := legacyMaxAverageRange(rel, g.p.numeric, g.p.target, 0.10, cfg)
-			if err != nil {
-				t.Fatalf("%s legacy MaxAverageRange: %v", name, err)
-			}
+			wantAvg := o.average(g.p.numeric, g.p.target, 0.10, false)
 			requireDeepEqual(t, name+" MaxAverageRange", gotAvg, wantAvg)
 
 			gotMsr, err := MaxSupportRange(rel, g.p.numeric, g.p.target, wantAvg.OverallAverage, cfg)
 			if err != nil {
 				t.Fatalf("%s MaxSupportRange: %v", name, err)
 			}
-			wantMsr, err := legacyMaxSupportRange(rel, g.p.numeric, g.p.target, wantAvg.OverallAverage, cfg)
-			if err != nil {
-				t.Fatalf("%s legacy MaxSupportRange: %v", name, err)
-			}
-			requireDeepEqual(t, name+" MaxSupportRange", gotMsr, wantMsr)
+			requireDeepEqual(t, name+" MaxSupportRange", gotMsr,
+				o.average(g.p.numeric, g.p.target, wantAvg.OverallAverage, true))
 
-			gotCSup, gotCConf, err := MineConjunctive(rel, g.p.numeric,
-				[]Condition{{Attr: g.p.objective, Value: true}}, []Condition{g.p.cond}, cfg)
+			objectives := []Condition{{Attr: g.p.objective, Value: true}}
+			gotCSup, gotCConf, err := MineConjunctive(rel, g.p.numeric, objectives, []Condition{g.p.cond}, cfg)
 			if err != nil {
 				t.Fatalf("%s MineConjunctive: %v", name, err)
 			}
-			wantCSup, wantCConf, err := legacyMineConjunctive(rel, g.p.numeric,
-				[]Condition{{Attr: g.p.objective, Value: true}}, []Condition{g.p.cond}, cfg)
-			if err != nil {
-				t.Fatalf("%s legacy MineConjunctive: %v", name, err)
-			}
+			wantCSup, wantCConf := o.conjunctive(g.p.numeric, objectives, []Condition{g.p.cond})
 			requireDeepEqual(t, name+" MineConjunctive support", gotCSup, wantCSup)
 			requireDeepEqual(t, name+" MineConjunctive confidence", gotCConf, wantCConf)
 		}
 	}
 }
 
-// TestSessionExactDomainsMatchLegacy covers the finest-bucket
+// TestSessionExactDomainsMatchOracle covers the finest-bucket
 // (ExactDomainLimit) path through the session planner.
-func TestSessionExactDomainsMatchLegacy(t *testing.T) {
+func TestSessionExactDomainsMatchOracle(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -182,24 +161,18 @@ func TestSessionExactDomainsMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Buckets: 80, Seed: 4, ExactDomainLimit: 120, MineGain: true, MineNegations: true}
+	o := newOracle(t, rel, cfg)
 	got, err := MineAll(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mineAllPerAttribute(rel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireDeepEqual(t, "exact-domain MineAll rules", got.Rules, want.Rules)
+	requireDeepEqual(t, "exact-domain MineAll rules", got.Rules, o.mineAll())
 
 	gotSup, gotConf, err := Mine(rel, "Age", "CardLoan", true, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSup, wantConf, err := legacyMine(rel, "Age", "CardLoan", true, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantSup, wantConf := o.mine("Age", "CardLoan", true, nil)
 	requireDeepEqual(t, "exact-domain Mine support", gotSup, wantSup)
 	requireDeepEqual(t, "exact-domain Mine confidence", gotConf, wantConf)
 }

@@ -2,6 +2,7 @@ package miner
 
 import (
 	"fmt"
+	"math"
 
 	"optrule/internal/relation"
 )
@@ -11,19 +12,22 @@ import (
 // the error); verification is exact, so production deployments can
 // report audited numbers next to each discovered rule.
 
-// Verification holds the exact statistics of a rule's range.
+// Verification holds the exact statistics of a rule's range. Like
+// mining, it counts only tuples whose numeric attribute is not NaN: a
+// missing value belongs to no range, so it enters neither the range
+// nor the totals that support and baseline are taken over.
 type Verification struct {
 	// Count is the exact number of (condition-satisfying) tuples with
 	// the numeric attribute in [Low, High].
 	Count int
-	// Support is Count over the condition-satisfying tuple total.
+	// Support is Count over Total.
 	Support float64
 	// Confidence is the exact objective rate within the range.
 	Confidence float64
-	// Baseline is the exact objective rate over all
-	// condition-satisfying tuples.
+	// Baseline is the exact objective rate over the Total tuples.
 	Baseline float64
-	// Total is the number of condition-satisfying tuples scanned.
+	// Total is the number of condition-satisfying tuples scanned whose
+	// numeric attribute is not NaN.
 	Total int
 }
 
@@ -65,7 +69,8 @@ func Verify(rel relation.Relation, rule Rule, conds []Condition) (Verification, 
 					break
 				}
 			}
-			if !pass {
+			x := b.Numeric[0][row]
+			if !pass || math.IsNaN(x) {
 				continue
 			}
 			v.Total++
@@ -73,7 +78,6 @@ func Verify(rel relation.Relation, rule Rule, conds []Condition) (Verification, 
 			if hit {
 				allHits++
 			}
-			x := b.Numeric[0][row]
 			if x >= rule.Low && x <= rule.High {
 				v.Count++
 				if hit {
@@ -87,7 +91,7 @@ func Verify(rel relation.Relation, rule Rule, conds []Condition) (Verification, 
 		return Verification{}, err
 	}
 	if v.Total == 0 {
-		return Verification{}, fmt.Errorf("miner: no tuples satisfy the rule's conditions")
+		return Verification{}, fmt.Errorf("miner: no tuples with a %s value satisfy the rule's conditions", rule.Numeric)
 	}
 	v.Support = float64(v.Count) / float64(v.Total)
 	v.Baseline = float64(allHits) / float64(v.Total)

@@ -2,6 +2,7 @@ package miner
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"optrule/internal/relation"
@@ -91,5 +92,51 @@ func TestVerifyValidation(t *testing.T) {
 	if _, err := Verify(empty, Rule{Numeric: "X", Objective: "B", ObjectiveValue: true},
 		[]Condition{{Attr: "B", Value: true}}); err == nil {
 		t.Errorf("empty filtered scan accepted")
+	}
+}
+
+// TestVerifySkipsNaNDrivers pins Verify to mining's NaN semantics: a
+// row whose numeric attribute is NaN belongs to no bucket, so it must
+// count toward neither the range nor the totals support and baseline
+// divide by. Every fifth A here is NaN (so ExactDomainLimit falls back
+// to sampled buckets), and the default 1000 buckets still give each of
+// A's 40 values a bucket of its own, so the mined rules are exact and
+// the audit must reproduce them to the last bit.
+func TestVerifySkipsNaNDrivers(t *testing.T) {
+	rel := relation.MustNewMemoryRelation(relation.Schema{
+		{Name: "A", Kind: relation.Numeric},
+		{Name: "B", Kind: relation.Boolean},
+	})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		a := float64(rng.Intn(40))
+		hit := rng.Float64() < 0.25 || (a >= 10 && a < 20 && rng.Float64() < 0.6)
+		if i%5 == 0 {
+			a = math.NaN()
+			hit = rng.Float64() < 0.5
+		}
+		rel.MustAppend([]float64{a}, []bool{hit})
+	}
+	sup, conf, err := Mine(rel, "A", "B", true, nil, Config{
+		MinConfidence: 0.4, MinSupport: 0.05, Seed: 1, ExactDomainLimit: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Rule{sup, conf} {
+		if r == nil {
+			t.Fatal("missing rule")
+		}
+		v, err := Verify(rel, *r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Total != 1600 {
+			t.Errorf("%s rule: verified total %d, want the 1600 non-NaN rows", r.Kind, v.Total)
+		}
+		if v.Count != r.Count || v.Support != r.Support || v.Confidence != r.Confidence || v.Baseline != r.Baseline {
+			t.Errorf("%s rule: verified %+v, mined count %d support %g confidence %g baseline %g",
+				r.Kind, v, r.Count, r.Support, r.Confidence, r.Baseline)
+		}
 	}
 }

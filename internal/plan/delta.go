@@ -324,7 +324,7 @@ func countTail(ctx context.Context, rel relation.Relation, rs relation.RangeScan
 			chunks = tail
 		}
 	}
-	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes, d.RefKernel); err != nil {
+	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes); err != nil {
 		return fmt.Errorf("plan: delta counting: %w", err)
 	}
 	return nil

@@ -16,10 +16,11 @@ import (
 )
 
 // AttrRNG derives the deterministic random stream for one numeric
-// attribute's sampling pass. EVERY boundary build — fused, cached, or
-// legacy per-attribute — must draw from this stream: sessions, one-shot
-// wrappers, and the pre-refactor pipelines stay boundary-identical
-// (and therefore rule-identical) only because they all do.
+// attribute's sampling pass. EVERY boundary build — the fused sampling
+// scan, a delta re-sample, or a single-attribute bucketing.
+// SampledBoundaries call — must draw from this stream: boundaries stay
+// identical (and therefore rules stay identical) across sessions,
+// batches, and cache states only because they all do.
 func AttrRNG(seed int64, attr int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(attr)*1e6 + 17))
 }
@@ -181,7 +182,7 @@ func countScan(ctx context.Context, rel relation.Relation, d Defaults, set *Stat
 		return countScatter(ctx, rel, d, set, groups, pairs)
 	}
 	pes := scanParallelism(rel, d, groups, rel.NumTuples())
-	return countGeneral(ctx, rel, set, groups, pairs, pes, d.RefKernel)
+	return countGeneral(ctx, rel, set, groups, pairs, pes)
 }
 
 // boundsOf fetches a group's boundaries from the working set.
@@ -236,7 +237,6 @@ type execState struct {
 	masks   [][]bool
 
 	combos []*effCombo // distinct (loc, maskIdx) effective-index passes
-	useRef bool        // run the reference per-tuple kernel instead
 
 	groups []*groupState
 	pairs  []*pairState
@@ -331,11 +331,10 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 }
 
 // newExecState builds one scan's tally state on one worker (useCores
-// widens it). ref selects the reference per-tuple kernel over the
-// batch-vectorized one.
+// widens it).
 func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
-	numPos, boolPos map[int]int, ref bool) (*execState, error) {
-	st := &execState{numPos: numPos, boolPos: boolPos, useRef: ref}
+	numPos, boolPos map[int]int) (*execState, error) {
+	st := &execState{numPos: numPos, boolPos: boolPos}
 	locOf := map[BoundKey]int{}
 	locate := func(k BoundKey) (int, error) {
 		if i, ok := locOf[k]; ok {
@@ -501,12 +500,12 @@ func (st *execState) setWorkers(workers int) {
 }
 
 // useCores spreads each batch of a scan over rows rows across
-// runtime.GOMAXPROCS(0) workers. Scans below splitRowFloor, and the
-// reference kernel, stay on one worker. Only a scan that is the sole
-// counting scan in flight should call it: row-chunk and scatter-gather
-// workers already run one scan per core.
+// runtime.GOMAXPROCS(0) workers. Scans below splitRowFloor stay on one
+// worker. Only a scan that is the sole counting scan in flight should
+// call it: row-chunk and scatter-gather workers already run one scan
+// per core.
 func (st *execState) useCores(rows int) {
-	if w := runtime.GOMAXPROCS(0); w > 1 && rows >= splitRowFloor && !st.useRef {
+	if w := runtime.GOMAXPROCS(0); w > 1 && rows >= splitRowFloor {
 		st.setWorkers(w)
 	}
 }
@@ -539,17 +538,11 @@ func fanOut(k int, fn func(w int)) {
 // one worker, which runs its scatter loops over the whole batch in row
 // order. Every accumulator thus has one writer seeing rows in serial
 // order and no partial is ever merged, so the results — float target
-// sums included — are bit-identical at every worker count, and to the
-// reference per-tuple kernel, which feeds every valid bucket the same
-// addition sequence.
+// sums included — are bit-identical at every worker count: every valid
+// bucket sees the same addition sequence as a row-at-a-time count.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
 	st.grow(n)
-	if st.useRef {
-		st.prep(b, 0, n, 0)
-		st.countBatchRef(b)
-		return
-	}
 	// Row ranges are 64-row aligned so neighbouring workers never write
 	// the same cache line.
 	step := max(((n+st.workers-1)/st.workers+63)&^63, 64)
@@ -587,9 +580,6 @@ func (st *execState) grow(n int) {
 			st.masks[f] = make([]bool, n)
 		}
 	}
-	if st.useRef {
-		return
-	}
 	for _, c := range st.combos {
 		if cap(c.eff) < n {
 			c.eff = make([]int32, n)
@@ -605,10 +595,8 @@ func (st *execState) grow(n int) {
 }
 
 // prep runs the per-row maps over rows [lo, hi) of the batch as row
-// worker w. The effective-index passes of the vectorized kernel route
-// every excluded row to a trash slot, so the tallies after it carry no
-// row-level control flow; the reference kernel needs only the bucket
-// indices and masks.
+// worker w. The effective-index passes route every excluded row to a
+// trash slot, so the tallies after it carry no row-level control flow.
 func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 	// Bucket indices once per (attribute, resolution): every group and
 	// pair sharing the boundary set shares the locate pass.
@@ -630,9 +618,6 @@ func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 				}
 			}
 		}
-	}
-	if st.useRef {
-		return
 	}
 	for _, c := range st.combos {
 		eff := c.eff[lo:hi]
@@ -676,9 +661,8 @@ func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 		for row := range effCell {
 			ri, rj := ia[row], ib[row]
 			if ri < 0 || rj < 0 {
-				// A row outside either axis's bucketing contributes to no
-				// cell and — matching the reference kernel — to neither
-				// axis's extremes.
+				// A row outside either axis's bucketing (a NaN value)
+				// contributes to no cell and to neither axis's extremes.
 				effCell[row] = trashCell
 				effA[row] = trashA
 				effB[row] = trashB
@@ -780,99 +764,6 @@ func (st *execState) tallyPair(ps *pairState, b *relation.Batch) {
 		}
 		if bv > maxB[e] {
 			maxB[e] = bv
-		}
-	}
-}
-
-// countBatchRef is the reference per-tuple kernel: one branchy row
-// loop per group and pair, kept both as the differential baseline the
-// vectorized kernel is pinned against and as a Defaults.RefKernel
-// escape hatch for regression triage. It shares the padded tally
-// layout, so merge and publish are kernel-agnostic.
-func (st *execState) countBatchRef(b *relation.Batch) {
-	n := b.Len
-	for _, gs := range st.groups {
-		gs.total += n
-		idx := st.idx[gs.loc][:n]
-		col := b.Numeric[gs.col]
-		var mask []bool
-		if gs.maskIdx >= 0 {
-			mask = st.masks[gs.maskIdx][:n]
-		}
-		for row := 0; row < n; row++ {
-			if mask != nil && !mask[row] {
-				continue
-			}
-			i := int(idx[row])
-			if i < 0 { // NaN driver: belongs to no bucket
-				gs.nans++
-				continue
-			}
-			gs.u[i]++
-			if gs.minv != nil {
-				x := col[row]
-				if x < gs.minv[i] {
-					gs.minv[i] = x
-				}
-				if x > gs.maxv[i] {
-					gs.maxv[i] = x
-				}
-			}
-			for k := range gs.v {
-				e := 0
-				if b.Bool[gs.boolCol[k]][row] == gs.boolWant[k] {
-					e = 1
-				}
-				gs.v[k][i] += e
-			}
-			for k := range gs.sum {
-				gs.sum[k][i] += b.Numeric[gs.targetCol[k]][row]
-			}
-		}
-	}
-	for _, ps := range st.pairs {
-		ia := st.idx[ps.locA][:n]
-		ib := st.idx[ps.locB][:n]
-		colA := b.Numeric[ps.colA]
-		colB := b.Numeric[ps.colB]
-		obj := b.Bool[ps.objCol]
-		pu, pv, cols := ps.pu, ps.pv, ps.cols
-		minA, maxA := ps.minA, ps.maxA
-		minB, maxB := ps.minB, ps.maxB
-		want := ps.want
-		for row := 0; row < n; row++ {
-			ri := int(ia[row])
-			if ri < 0 {
-				continue
-			}
-			rj := int(ib[row])
-			if rj < 0 {
-				continue
-			}
-			idx := ri*cols + rj
-			pu[idx]++
-			// Flagless objective tally (as in the 1-D counting kernel):
-			// the objective bit is ~50% either way, so a conditional
-			// increment would mispredict constantly.
-			e := 0.0
-			if obj[row] == want {
-				e = 1
-			}
-			pv[idx] += e
-			a := colA[row]
-			if a < minA[ri] {
-				minA[ri] = a
-			}
-			if a > maxA[ri] {
-				maxA[ri] = a
-			}
-			bv := colB[row]
-			if bv < minB[rj] {
-				minB[rj] = bv
-			}
-			if bv > maxB[rj] {
-				maxB[rj] = bv
-			}
 		}
 	}
 }
@@ -1037,8 +928,7 @@ func prunedOrRange(rel relation.Relation, rs relation.RangeScanner, start, end i
 // relation: one segment when pes <= 1, otherwise cost-balanced
 // storage-aligned chunks (PlanScanChunks) priced under the
 // common-filter pushdown predicate, so zone-map-pruned groups cost ~0.
-// ref selects the reference per-tuple kernel.
-func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, pes int, ref bool) error {
+func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, pes int) error {
 	chunks := []relation.ScanChunk{{End: rel.NumTuples()}}
 	var rs relation.RangeScanner
 	if pes > 1 {
@@ -1046,7 +936,7 @@ func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, gro
 		cols, _, _ := execLayout(groups, pairs)
 		chunks = relation.PlanScanChunks(rel, pes, cols, commonFilterPred(groups, pairs))
 	}
-	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes, ref); err != nil {
+	if err := countChunks(ctx, rel, rs, set, groups, pairs, chunks, pes); err != nil {
 		return fmt.Errorf("plan: counting: %w", err)
 	}
 	return nil
@@ -1065,7 +955,7 @@ func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, gro
 // chunk order, not whichever worker failed first; cancellation is
 // observed between batches.
 func countChunks(ctx context.Context, rel relation.Relation, rs relation.RangeScanner, set *StatsSet,
-	groups []*GroupNeed, pairs []*PairNeed, chunks []relation.ScanChunk, pes int, ref bool) error {
+	groups []*GroupNeed, pairs []*PairNeed, chunks []relation.ScanChunk, pes int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
 	states := make([]*execState, len(chunks))
@@ -1078,7 +968,7 @@ func countChunks(ctx context.Context, rel relation.Relation, rs relation.RangeSc
 				return
 			}
 			c := chunks[i]
-			st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
+			st, err := newExecState(set, groups, pairs, numPos, boolPos)
 			if err != nil {
 				errs[i] = err
 				continue

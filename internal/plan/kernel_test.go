@@ -113,10 +113,11 @@ func compareStatsSets(t *testing.T, want, got *StatsSet) {
 	}
 }
 
-// TestVectorizedKernelMatchesReference is the kernel differential: the
-// batch-vectorized general counting kernel must produce statistics
-// bit-identical to the reference per-tuple kernel — serial with float
-// target sums, and segmented in parallel without them.
+// TestVectorizedKernelMatchesReference pins the batch-vectorized
+// general counting kernel against the reference recount of the
+// brute-force oracle (oracle_test.go): statistics must be
+// bit-identical — as one segment with float target sums, and
+// segmented in parallel without them.
 func TestVectorizedKernelMatchesReference(t *testing.T) {
 	rel := kernelTestRelation(t, 20000)
 	for _, tc := range []struct {
@@ -128,23 +129,17 @@ func TestVectorizedKernelMatchesReference(t *testing.T) {
 		{"parallel_4pe", 4, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(ref bool) *StatsSet {
-				d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40,
-					Seed: 5, PEs: tc.pes, RefKernel: ref}
-				req := kernelBatchRequirements(t, rel, d, tc.withTargets)
-				set, err := Run(rel, d, NewCache(0), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return set
+			d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5, PEs: tc.pes}
+			req := kernelBatchRequirements(t, rel, d, tc.withTargets)
+			got, err := Run(rel, d, NewCache(0), req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := run(true)
-			got := run(false)
-			if len(want.Groups) == 0 || len(want.Pairs) == 0 {
-				t.Fatalf("reference run produced %d groups, %d pairs; differential test is vacuous",
-					len(want.Groups), len(want.Pairs))
+			if len(got.Groups) == 0 || len(got.Pairs) == 0 {
+				t.Fatalf("run produced %d groups, %d pairs; the check is vacuous",
+					len(got.Groups), len(got.Pairs))
 			}
-			compareStatsSets(t, want, got)
+			requireOracle(t, rel, req, got)
 		})
 	}
 }

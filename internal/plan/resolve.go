@@ -43,11 +43,6 @@ type Defaults struct {
 	// take one segment, which uses every core inside each batch
 	// regardless (execState.useCores).
 	PEs int
-	// RefKernel forces the general counting scan's reference per-tuple
-	// kernel instead of the batch-vectorized one. Results are identical
-	// (the differential tests pin this); the switch exists for
-	// benchmark comparisons and regression triage.
-	RefKernel bool
 	// Scatter enables the fault-tolerant scatter-gather counting
 	// executor (scatter.go). The zero value keeps the serial/segmented
 	// executors untouched.

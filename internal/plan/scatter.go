@@ -65,13 +65,12 @@ type Worker interface {
 // localWorker counts against a relation in-process.
 type localWorker struct {
 	rel relation.Relation
-	ref bool
 }
 
-// NewLocalWorker returns the in-process Worker over rel. ref selects
-// the reference per-tuple kernel (Defaults.RefKernel).
-func NewLocalWorker(rel relation.Relation, ref bool) Worker {
-	return &localWorker{rel: rel, ref: ref}
+// NewLocalWorker returns the in-process Worker over rel: it counts each
+// task with the same general counting kernel as the direct scans.
+func NewLocalWorker(rel relation.Relation) Worker {
+	return &localWorker{rel: rel}
 }
 
 // Count implements Worker: one fused counting scan of the task's row
@@ -79,7 +78,7 @@ func NewLocalWorker(rel relation.Relation, ref bool) Worker {
 // cut a scan short instead of running it to completion.
 func (w *localWorker) Count(ctx context.Context, task *CountTask) (*Partial, error) {
 	cols, numPos, boolPos := execLayout(task.Groups, task.Pairs)
-	st, err := newExecState(task.Set, task.Groups, task.Pairs, numPos, boolPos, w.ref)
+	st, err := newExecState(task.Set, task.Groups, task.Pairs, numPos, boolPos)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,8 @@ type ScatterConfig struct {
 	NewWorker func(i int, rel relation.Relation) Worker
 	// TaskTimeout bounds one attempt of one task; a stalled worker is
 	// abandoned (its goroutine drains harmlessly) and the task is
-	// retried elsewhere. 0 means no per-attempt deadline. Default 30s.
+	// retried elsewhere. 0 selects the default of 30s; a negative value
+	// disables the per-attempt deadline.
 	TaskTimeout time.Duration
 	// MaxAttempts is the per-task worker-attempt budget before the
 	// coordinator falls back to a direct scan. Default 3.
@@ -234,14 +234,14 @@ func countScatter(ctx context.Context, rel relation.Relation, d Defaults, set *S
 	cuts := scatterCuts(rel, sc.Workers, scanCols, commonFilterPred(groups, pairs))
 	nTasks := len(cuts) - 1
 	if nTasks < 1 {
-		return countGeneral(ctx, rel, set, groups, pairs, 1, d.RefKernel)
+		return countGeneral(ctx, rel, set, groups, pairs, 1)
 	}
 	workers := make([]Worker, sc.Workers)
 	for i := range workers {
 		if sc.NewWorker != nil {
 			workers[i] = sc.NewWorker(i, rel)
 		} else {
-			workers[i] = NewLocalWorker(rel, d.RefKernel)
+			workers[i] = NewLocalWorker(rel)
 		}
 	}
 
@@ -333,7 +333,7 @@ func countScatter(ctx context.Context, rel relation.Relation, d Defaults, set *S
 	// Last resort: the coordinator counts exhausted tasks itself,
 	// straight off the relation — the batch completes whenever the
 	// underlying files are readable, no matter how broken the pool is.
-	direct := NewLocalWorker(rel, d.RefKernel)
+	direct := NewLocalWorker(rel)
 	for _, t := range tasks {
 		if t.done {
 			continue

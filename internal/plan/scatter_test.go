@@ -174,7 +174,7 @@ func TestScatterRetriesTransientFailures(t *testing.T) {
 	ds.Scatter = ScatterConfig{
 		Workers: 3,
 		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &flakyWorker{inner: NewLocalWorker(r, false)}
+			w := &flakyWorker{inner: NewLocalWorker(r)}
 			w.left.Store(1) // each worker's first attempt fails
 			return w
 		},
@@ -233,7 +233,7 @@ func TestScatterTimeoutAbandonsStalledWorker(t *testing.T) {
 	ds.Scatter = ScatterConfig{
 		Workers: 2,
 		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &stallFirstWorker{inner: NewLocalWorker(r, false)}
+			w := &stallFirstWorker{inner: NewLocalWorker(r)}
 			w.stalls.Store(1)
 			return w
 		},
@@ -354,5 +354,39 @@ func TestScatterCutsShardExact(t *testing.T) {
 	starts := rel.ShardStarts()
 	if !reflect.DeepEqual(cuts, starts) {
 		t.Errorf("scatter cuts %v != shard starts %v", cuts, starts)
+	}
+}
+
+// deadlineWorker records whether each attempt's context carried a
+// deadline.
+type deadlineWorker struct{ hadDeadline bool }
+
+func (w *deadlineWorker) Count(ctx context.Context, _ *CountTask) (*Partial, error) {
+	_, w.hadDeadline = ctx.Deadline()
+	return &Partial{}, nil
+}
+
+// TestScatterTaskTimeoutZeroAndNegative pins ScatterConfig.TaskTimeout's
+// documented settings: 0 selects the 30s default per-attempt deadline,
+// and a negative value runs attempts with no deadline at all.
+func TestScatterTaskTimeoutZeroAndNegative(t *testing.T) {
+	for _, tc := range []struct {
+		set, want    time.Duration
+		wantDeadline bool
+	}{
+		{0, 30 * time.Second, true},
+		{-1, -1, false},
+	} {
+		sc := ScatterConfig{TaskTimeout: tc.set}.withDefaults()
+		if sc.TaskTimeout != tc.want {
+			t.Errorf("TaskTimeout %v: defaulted to %v, want %v", tc.set, sc.TaskTimeout, tc.want)
+		}
+		w := &deadlineWorker{}
+		if _, err := attemptTask(context.Background(), w, &CountTask{}, sc.TaskTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if w.hadDeadline != tc.wantDeadline {
+			t.Errorf("TaskTimeout %v: attempt deadline set = %v, want %v", tc.set, w.hadDeadline, tc.wantDeadline)
+		}
 	}
 }

@@ -48,19 +48,19 @@ func withProcs(procs int, fn func()) {
 
 // TestSplitKernelBitIdenticalAcrossWorkers pins the two-phase split of
 // the general counting kernel: one mixed schedule over a relation
-// above the split floor publishes a reflect.DeepEqual StatsSet at
-// every worker count — float target sums and extremes included — and
-// the same set as the reference per-tuple kernel.
+// above the split floor publishes a StatsSet reflect.DeepEqual to the
+// brute-force oracle's at every worker count — float target sums and
+// extremes included.
 func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
 	rel := kernelTestRelation(t, splitRowFloor+20000)
-	run := func(procs int, ref bool) *StatsSet {
+	d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5}
+	req := splitBatchRequirements(t, rel, d)
+	if len(req.Pairs) != 2 {
+		t.Fatalf("schedule has %d pair grids, want 2", len(req.Pairs))
+	}
+	run := func(procs int) *StatsSet {
 		var set *StatsSet
 		withProcs(procs, func() {
-			d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5, RefKernel: ref}
-			req := splitBatchRequirements(t, rel, d)
-			if len(req.Pairs) != 2 {
-				t.Fatalf("schedule has %d pair grids, want 2", len(req.Pairs))
-			}
 			var err error
 			set, err = Run(rel, d, NewCache(0), req)
 			if err != nil {
@@ -69,7 +69,7 @@ func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
 		})
 		return set
 	}
-	want := run(1, true)
+	want := oracleSet(t, rel, req, run(1).Bounds)
 	var filtered, targets, extremes, nans bool
 	for k, g := range want.Groups {
 		filtered = filtered || k.Filter != ""
@@ -82,18 +82,17 @@ func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
 			filtered, targets, extremes, nans)
 	}
 	for _, procs := range []int{1, 2, 3, 8} {
-		got := run(procs, false)
+		got := run(procs)
 		if !reflect.DeepEqual(want, got) {
 			compareStatsSets(t, want, got)
-			t.Fatalf("GOMAXPROCS=%d: split kernel StatsSet differs from the reference kernel", procs)
+			t.Fatalf("GOMAXPROCS=%d: split kernel StatsSet differs from the oracle", procs)
 		}
 	}
 }
 
 // TestSplitKernelWorkerCounts pins when the split engages: every core
-// above the row floor, one worker below it and for the reference
-// kernel, and a tally assignment that gives every group and pair
-// exactly one owner.
+// above the row floor, one worker below it, and a tally assignment
+// that gives every group and pair exactly one owner.
 func TestSplitKernelWorkerCounts(t *testing.T) {
 	rel := kernelTestRelation(t, 2000)
 	d := Defaults{Buckets: 37, GridSide: 11, SampleFactor: 40, Seed: 5}
@@ -111,8 +110,8 @@ func TestSplitKernelWorkerCounts(t *testing.T) {
 		pairs = append(pairs, req.Pairs[k])
 	}
 	_, numPos, boolPos := execLayout(groups, pairs)
-	state := func(ref bool, rows int) *execState {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
+	state := func(rows int) *execState {
+		st, err := newExecState(set, groups, pairs, numPos, boolPos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +119,10 @@ func TestSplitKernelWorkerCounts(t *testing.T) {
 		return st
 	}
 	withProcs(3, func() {
-		if st := state(false, splitRowFloor-1); st.workers != 1 || len(st.tallies) != 1 {
+		if st := state(splitRowFloor - 1); st.workers != 1 || len(st.tallies) != 1 {
 			t.Errorf("below the floor: %d workers, %d tally workers; want 1, 1", st.workers, len(st.tallies))
 		}
-		if st := state(true, splitRowFloor); st.workers != 1 {
-			t.Errorf("reference kernel: %d workers, want 1", st.workers)
-		}
-		st := state(false, splitRowFloor)
+		st := state(splitRowFloor)
 		if st.workers != 3 || len(st.tallies) != 3 {
 			t.Fatalf("at the floor: %d workers, %d tally workers; want 3, 3", st.workers, len(st.tallies))
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // The parallel kernels must be rule-for-rule identical to the serial
-// kernels — not merely close: the miner's differential tests pin the
-// fused 2-D engine (which uses the parallel kernels) against the
-// legacy per-pair path (which used the serial ones), so any divergence
+// kernels — not merely close: the miner's oracle tests pin the fused
+// 2-D engine (which uses the parallel kernels) against a brute-force
+// oracle whose regions come from the serial ones, so any divergence
 // here would surface as a mining difference. Grids are random with
 // zero cells allowed, shapes deliberately non-square, and worker
 // counts sweep past the row count to exercise the clamping.

@@ -185,7 +185,8 @@
 //     group and pair grid. Every batch runs one batch-vectorized
 //     general kernel — per-batch columnar passes over precomputed
 //     effective-bucket arrays instead of per-tuple branching — pinned
-//     bit-identical to its per-tuple reference. On range-scanning
+//     bit-identical to a brute-force oracle that recounts raw tuples
+//     with plain cut-point comparisons. On range-scanning
 //     storage an integer-exact scan is row-chunked across every core;
 //     a scan carrying average-query float sums stays one segment and
 //     splits each batch across the cores instead. When every group in
@@ -665,9 +666,9 @@ type ScatterStats = miner.ScatterStats
 type Worker = miner.Worker
 
 // NewLocalWorker returns the in-process scatter-gather worker over
-// rel. ref selects the reference per-tuple counting kernel.
-func NewLocalWorker(rel Relation, ref bool) Worker {
-	return miner.NewLocalWorker(rel, ref)
+// rel.
+func NewLocalWorker(rel Relation) Worker {
+	return miner.NewLocalWorker(rel)
 }
 
 // FaultRelation wraps any relation with deterministic, seed-driven
