@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"optrule/internal/relation"
+	"optrule/internal/stats"
 )
 
 // BoolCond is a primitive Boolean condition (A = yes) or (A = no) used
@@ -53,7 +54,9 @@ type Counts struct {
 	// V[k][i] is v_i for Options.Bools[k]: tuples in bucket i that also
 	// meet the k-th objective condition.
 	V [][]int
-	// Sum[k][i] is the sum of Options.Targets[k] values over bucket i.
+	// Sum[k][i] is the sum of Options.Targets[k] values over bucket i,
+	// computed exactly and rounded once to the nearest float64, so it
+	// does not depend on row order or on how a scan was segmented.
 	Sum [][]float64
 	// MinVal/MaxVal are the observed driver extremes per bucket
 	// (+Inf/−Inf for empty buckets); only set if TrackExtremes.
@@ -85,7 +88,25 @@ func newCounts(m int, opts Options) *Counts {
 	return c
 }
 
-// merge adds other into c. Shapes must match.
+// newSums allocates the exact accumulators a counting scan sums opts'
+// targets into, one per target over m buckets.
+func newSums(m int, opts Options) []*stats.ExactSums {
+	sums := make([]*stats.ExactSums, len(opts.Targets))
+	for k := range sums {
+		sums[k] = stats.NewExactSums(m)
+	}
+	return sums
+}
+
+// roundSums rounds each target's exact bucket sums into c.Sum.
+func roundSums(c *Counts, sums []*stats.ExactSums) {
+	for k, s := range sums {
+		s.Round(c.Sum[k])
+	}
+}
+
+// merge adds other's counts into c; target sums merge through their
+// exact accumulators instead. Shapes must match.
 func (c *Counts) merge(other *Counts) {
 	c.N += other.N
 	c.Total += other.Total
@@ -96,12 +117,6 @@ func (c *Counts) merge(other *Counts) {
 	for k := range c.V {
 		for i := range c.V[k] {
 			c.V[k][i] += other.V[k][i]
-		}
-	}
-	for k := range c.Sum {
-		for i := range c.Sum[k] {
-			//optlint:ignore floatmerge target sums fold in fixed segment order (ParallelCount's coordinator), so the result is deterministic for a given segment count
-			c.Sum[k][i] += other.Sum[k][i]
 		}
 	}
 	if c.MinVal != nil && other.MinVal != nil {
@@ -206,8 +221,8 @@ func scanColumns(driver int, opts Options) (cols relation.ColumnSet, targetPos [
 	return multiScanColumns([]int{driver}, opts)
 }
 
-// countBatch tallies one batch into c.
-func countBatch(c *Counts, b *relation.Batch, bounds Boundaries, opts Options, targetPos, boolPos, filterPos []int) {
+// countBatch tallies one batch into c and the target sums into sums.
+func countBatch(c *Counts, sums []*stats.ExactSums, b *relation.Batch, bounds Boundaries, opts Options, targetPos, boolPos, filterPos []int) {
 	driver := b.Numeric[0]
 	c.Total += b.Len
 	filtered := len(opts.Filter) > 0
@@ -237,8 +252,8 @@ func countBatch(c *Counts, b *relation.Batch, bounds Boundaries, opts Options, t
 				c.V[k][i]++
 			}
 		}
-		for k := range opts.Targets {
-			c.Sum[k][i] += b.Numeric[targetPos[k]][row]
+		for k, s := range sums {
+			s.Add(i, b.Numeric[targetPos[k]][row])
 		}
 		if c.MinVal != nil {
 			if x < c.MinVal[i] {
@@ -260,13 +275,15 @@ func Count(rel relation.Relation, driver int, bounds Boundaries, opts Options) (
 	}
 	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
 	c := newCounts(bounds.NumBuckets(), opts)
+	sums := newSums(c.M, opts)
 	err := rel.Scan(cols, func(b *relation.Batch) error {
-		countBatch(c, b, bounds, opts, targetPos, boolPos, filterPos)
+		countBatch(c, sums, b, bounds, opts, targetPos, boolPos, filterPos)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	roundSums(c, sums)
 	return c, nil
 }
 
@@ -282,7 +299,8 @@ func segmentBounds(rel relation.Relation, n, pes int) []int {
 // pes contiguous segments (aligned to the storage layer's block groups
 // when it declares them), each counted by its own goroutine
 // ("processing element") with no shared state, and the coordinator sums
-// the partial counts. Results are identical to Count.
+// the partial counts. Target sums merge exactly, so results are
+// identical to Count at every segment count.
 func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opts Options, pes int) (*Counts, error) {
 	if pes < 1 {
 		return nil, fmt.Errorf("bucketing: processing element count %d must be positive", pes)
@@ -300,14 +318,16 @@ func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opt
 	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
 	segs := segmentBounds(rel, n, pes)
 	partials := make([]*Counts, pes)
+	partSums := make([][]*stats.ExactSums, pes)
 	errs := make(chan error, pes)
 	for p := 0; p < pes; p++ {
 		go func(p int) {
 			start, end := segs[p], segs[p+1]
 			local := newCounts(bounds.NumBuckets(), opts)
-			partials[p] = local
+			localSums := newSums(local.M, opts)
+			partials[p], partSums[p] = local, localSums
 			errs <- rel.ScanRange(start, end, cols, func(b *relation.Batch) error {
-				countBatch(local, b, bounds, opts, targetPos, boolPos, filterPos)
+				countBatch(local, localSums, b, bounds, opts, targetPos, boolPos, filterPos)
 				return nil
 			})
 		}(p)
@@ -322,8 +342,13 @@ func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opt
 		return nil, firstErr
 	}
 	total := newCounts(bounds.NumBuckets(), opts)
-	for _, part := range partials {
+	sums := newSums(total.M, opts)
+	for p, part := range partials {
 		total.merge(part)
+		for k, s := range sums {
+			s.Merge(partSums[p][k])
+		}
 	}
+	roundSums(total, sums)
 	return total, nil
 }

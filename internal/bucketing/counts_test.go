@@ -2,6 +2,7 @@ package bucketing
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -290,5 +291,61 @@ func TestParallelCountOnDiskRelation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.U, par.U) || !reflect.DeepEqual(seq.V, par.V) {
 		t.Errorf("disk parallel count differs from sequential")
+	}
+}
+
+// TestCountersShareExactSums pins one target-sum semantics across the
+// counters: Count, ParallelCount at every segment count, and MultiCount
+// all sum each bucket exactly and round once. Bucket 0 holds 1e16, 1,
+// -1e16 (row order gives 0; the exact sum is 1); bucket 1 holds tenths,
+// whose row-order sum depends on how the rows are segmented.
+func TestCountersShareExactSums(t *testing.T) {
+	rel := relation.MustNewMemoryRelation(relation.Schema{
+		{Name: "X", Kind: relation.Numeric},
+		{Name: "T", Kind: relation.Numeric},
+	})
+	for _, tv := range []float64{1e16, 1, -1e16} {
+		rel.MustAppend([]float64{0, tv}, nil)
+	}
+	rng := rand.New(rand.NewSource(3))
+	tenths := []float64{}
+	for i := 0; i < 5000; i++ {
+		tv := float64(rng.Intn(20001)-10000) / 10
+		tenths = append(tenths, tv)
+		rel.MustAppend([]float64{1, tv}, nil)
+	}
+	bounds, err := NewBoundaries([]float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := new(big.Float).SetPrec(4096)
+	for _, tv := range tenths {
+		exact.Add(exact, new(big.Float).SetFloat64(tv))
+	}
+	tenthsSum, _ := exact.Float64()
+	want := []float64{1, tenthsSum}
+	opts := Options{Targets: []int{1}}
+	seq, err := Count(rel, 0, bounds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq.Sum[0], want) {
+		t.Fatalf("Count sums %v, want %v", seq.Sum[0], want)
+	}
+	for _, pes := range []int{2, 3, 7, 16} {
+		par, err := ParallelCount(rel, 0, bounds, opts, pes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par.Sum[0], want) {
+			t.Errorf("ParallelCount pes=%d sums %v, want %v", pes, par.Sum[0], want)
+		}
+	}
+	multi, err := MultiCount(rel, []int{0}, []Boundaries{bounds}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(multi[0].Sum[0], want) {
+		t.Errorf("MultiCount sums %v, want %v", multi[0].Sum[0], want)
 	}
 }

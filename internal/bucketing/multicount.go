@@ -77,7 +77,7 @@ type driverWork struct {
 	nans  int
 	u     []int
 	v     [][]int
-	sum   [][]float64
+	sum   []*stats.ExactSums
 	minv  []float64 // nil unless TrackExtremes
 	maxv  []float64
 }
@@ -87,13 +87,10 @@ func newDriverWork(m int, opts Options) *driverWork {
 		m:   m,
 		u:   make([]int, m),
 		v:   make([][]int, len(opts.Bools)),
-		sum: make([][]float64, len(opts.Targets)),
+		sum: newSums(m, opts),
 	}
 	for k := range w.v {
 		w.v[k] = make([]int, m)
-	}
-	for k := range w.sum {
-		w.sum[k] = make([]float64, m)
 	}
 	if opts.TrackExtremes {
 		w.minv = make([]float64, m)
@@ -118,9 +115,7 @@ func (w *driverWork) finalize(opts Options) *Counts {
 	for k := range c.V {
 		copy(c.V[k], w.v[k])
 	}
-	for k := range c.Sum {
-		copy(c.Sum[k], w.sum[k])
-	}
+	roundSums(c, w.sum)
 	if c.MinVal != nil {
 		copy(c.MinVal, w.minv)
 		copy(c.MaxVal, w.maxv)
@@ -290,7 +285,7 @@ func multiCountBatch(works []*driverWork, b *relation.Batch, bounds []Boundaries
 				}
 			}
 			for k := 0; k < nt; k++ {
-				w.sum[k][i] += b.Numeric[targetPos[k]][row]
+				w.sum[k].Add(i, b.Numeric[targetPos[k]][row])
 			}
 		}
 	}

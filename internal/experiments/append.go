@@ -58,11 +58,12 @@ type AppendStep struct {
 }
 
 // appendQueries is the batch workload minus the average operator:
-// averages carry float sums whose addition order is observable, so
-// the delta path deliberately strips them and recounts on demand
-// (over the full relation) rather than fold them — a different,
-// correctness-driven cost model that would drown the O(Δ) signal the
-// experiment measures. Everything else folds integer-exactly.
+// the cache holds target sums rounded, and adding two rounded sums can
+// miss the exact total, so the delta path deliberately strips them and
+// recounts on demand (over the full relation) rather than fold them —
+// a different, correctness-driven cost model that would drown the
+// O(Δ) signal the experiment measures. Everything else folds
+// integer-exactly.
 func appendQueries() []miner.Query {
 	var out []miner.Query
 	for _, q := range batchQueries() {

@@ -105,7 +105,7 @@ func multiCountRun(rel relation.Relation, req *plan.Requirements, bounds map[pla
 }
 
 // sameAsMultiCount reports whether the general kernel's group equals
-// MultiCount's counts for it, float target sums included.
+// MultiCount's counts for it, rounded target sums included.
 func sameAsMultiCount(s *plan.Stats1D, need *plan.GroupNeed, c *bucketing.Counts) bool {
 	if s.M != c.M || s.N != c.N || s.Total != c.Total || s.NaNs != c.NaNs ||
 		!reflect.DeepEqual(s.U, c.U) ||

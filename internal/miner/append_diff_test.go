@@ -318,11 +318,11 @@ func TestAppendOverBudgetMatchesPlainColdSession(t *testing.T) {
 	requireAnswersEqual(t, "over-budget", incr, want)
 }
 
-// TestAverageAfterAppendRecountsAndMatches pins the float-sum
-// discipline: the fold strips target sums (their accumulation order is
-// observable in the last bits), so the next average query recounts
-// them serially over the full relation — and lands bit-identical to a
-// cold session over the same boundaries.
+// TestAverageAfterAppendRecountsAndMatches pins the target-sum
+// discipline: the fold strips target sums (the cache holds them
+// rounded, and adding two rounded sums can miss the exact total), so
+// the next average query recounts them over the full relation — and
+// lands bit-identical to a cold session over the same boundaries.
 func TestAverageAfterAppendRecountsAndMatches(t *testing.T) {
 	const base, delta = 3000, 60
 	bank, err := datagen.NewBank(datagen.BankConfig{})

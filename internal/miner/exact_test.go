@@ -1,10 +1,12 @@
 package miner
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"optrule/internal/plan"
 	"optrule/internal/relation"
 )
 
@@ -131,5 +133,29 @@ func TestExactDomainFallsBackOnLargeDomains(t *testing.T) {
 	}
 	if sup.Buckets > 100 {
 		t.Errorf("fallback should use <= 100 sampled buckets, got %d", sup.Buckets)
+	}
+}
+
+// TestSessionRejectsExactDomainLimitAboveMaxBuckets pins the bucket
+// ceiling on finest buckets: a finest bucketing has one bucket per
+// distinct value, so an ExactDomainLimit above plan.MaxBuckets would
+// let a high-cardinality column (a million distinct balances) cache a
+// group past the ceiling every explicit bucket count must meet.
+// NewSession, and every one-shot entry point through it, rejects such
+// a limit with plan.ErrResolutionTooLarge; the ceiling itself is
+// accepted.
+func TestSessionRejectsExactDomainLimitAboveMaxBuckets(t *testing.T) {
+	rel, _ := bankRelation(t, 2000)
+	over := Config{ExactDomainLimit: plan.MaxBuckets + 1}
+	if _, err := NewSession(rel, over); !errors.Is(err, plan.ErrResolutionTooLarge) {
+		t.Fatalf("NewSession with ExactDomainLimit %d: err = %v, want ErrResolutionTooLarge",
+			over.ExactDomainLimit, err)
+	}
+	if _, _, err := Mine(rel, "Balance", "CardLoan", true, nil, over); !errors.Is(err, plan.ErrResolutionTooLarge) {
+		t.Fatalf("Mine with ExactDomainLimit %d: err = %v, want ErrResolutionTooLarge",
+			over.ExactDomainLimit, err)
+	}
+	if _, err := NewSession(rel, Config{ExactDomainLimit: plan.MaxBuckets}); err != nil {
+		t.Fatalf("NewSession at the ceiling: %v", err)
 	}
 }

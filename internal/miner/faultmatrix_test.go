@@ -31,11 +31,13 @@ func faultMatrixBackends(t *testing.T, n int) map[string]relation.Relation {
 }
 
 // TestFaultMatrixRulesIdentical is the differential fault matrix: for
-// every backend × worker count × failure mode, the mined rules must be
-// bit-identical to the healthy zero-worker baseline — faults may cost
-// retries, re-routes, timeouts, and fallbacks, but never a different
-// answer. Worker-layer faults are injected by wrapping each pool
-// worker's relation in the deterministic fault harness.
+// every backend × worker count × failure mode, the mined rules and an
+// average-operator range (whose non-integer target sums merge from
+// per-task partials) must be bit-identical to the healthy zero-worker
+// baseline — faults may cost retries, re-routes, timeouts, and
+// fallbacks, but never a different answer. Worker-layer faults are
+// injected by wrapping each pool worker's relation in the
+// deterministic fault harness.
 func TestFaultMatrixRulesIdentical(t *testing.T) {
 	backends := faultMatrixBackends(t, 6000)
 	base := Config{Buckets: 60, Seed: 7, Workers: 2}
@@ -46,6 +48,13 @@ func TestFaultMatrixRulesIdentical(t *testing.T) {
 	}
 	if len(baseline.Rules) == 0 {
 		t.Fatal("degenerate matrix: baseline mined no rules")
+	}
+	avg := func(rel relation.Relation, cfg Config) (AvgRange, error) {
+		return MaxAverageRange(rel, "Age", "Balance", 0.1, cfg)
+	}
+	baseAvg, err := avg(backends["memory"], base)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	modes := []struct {
@@ -89,6 +98,13 @@ func TestFaultMatrixRulesIdentical(t *testing.T) {
 					t.Fatalf("%s/w=%d/%s: %v", name, workers, mode.name, err)
 				}
 				sameRules(t, name+"/w="+mode.name, got, baseline)
+				gotAvg, err := avg(rel, cfg)
+				if err != nil {
+					t.Fatalf("%s/w=%d/%s average: %v", name, workers, mode.name, err)
+				}
+				if gotAvg != baseAvg {
+					t.Errorf("%s/w=%d/%s: average range %+v, baseline %+v", name, workers, mode.name, gotAvg, baseAvg)
+				}
 			}
 		}
 	}

@@ -163,12 +163,11 @@ type Config struct {
 	// PEs sets how many parallel processing elements (Algorithm 3.2)
 	// segment each counting scan, provided the relation supports range
 	// scans. Workers parallelizes ACROSS attributes; PEs segments WITHIN
-	// one scan. 0 lets a session segment every integer-exact counting
-	// scan of a large relation into one row chunk per core, 1 forces
-	// one segment, and N > 1 sets N segments. A session's scan carrying
-	// average-query target sums always takes one segment, which still
-	// uses every core inside each batch. Results are bit-identical at
-	// every setting.
+	// one scan. 0 lets a session segment every counting scan of a large
+	// relation into one row chunk per core, 1 runs one segment on one
+	// core, and N > 1 sets N segments. Results are bit-identical at
+	// every setting: average-query target sums accumulate exactly and
+	// round once.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two
@@ -179,7 +178,8 @@ type Config struct {
 	// this many distinct values (ages, counts, ratings, …), one bucket
 	// per distinct value is used and the optimized rules are exact
 	// rather than bucket approximations. Attributes with more distinct
-	// values fall back to the sampled equi-depth buckets.
+	// values fall back to the sampled equi-depth buckets. A limit above
+	// plan.MaxBuckets is rejected with plan.ErrResolutionTooLarge.
 	ExactDomainLimit int
 	// Scatter enables the fault-tolerant scatter-gather counting
 	// executor: Scatter.Workers > 0 scatters each counting scan one
@@ -243,6 +243,12 @@ func (c Config) validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("miner: negative Workers %d", c.Workers)
+	}
+	if c.ExactDomainLimit > plan.MaxBuckets {
+		// A finest bucketing has one bucket per distinct value, so the
+		// limit is a bucket count and meets the same ceiling.
+		return fmt.Errorf("miner: %w: ExactDomainLimit %d is above %d",
+			plan.ErrResolutionTooLarge, c.ExactDomainLimit, plan.MaxBuckets)
 	}
 	return nil
 }

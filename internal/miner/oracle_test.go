@@ -3,6 +3,7 @@ package miner
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -24,8 +25,8 @@ import (
 //     also pin the session's fused sampling scan;
 //   - every tuple is placed with a plain comparison loop over
 //     Boundaries.Cuts (Algorithm 3.1, step 4), and counts, objective
-//     hits, extremes, and float target sums accumulate row by row in
-//     row order;
+//     hits, and extremes accumulate row by row in row order, target
+//     sums exactly in math/big, rounded once per bucket;
 //   - ranges come from the O(M²) enumerators core.NaiveOptimalSlopePair
 //     and core.NaiveOptimalSupportPair (the baselines of the paper's
 //     Figures 10 and 11), rectangles from region.NaiveOptimalRect*,
@@ -139,6 +140,46 @@ func raise(p *float64, x float64) {
 	}
 }
 
+// bigSum is one bucket's target sum, held exactly in math/big with
+// flags for NaN and the infinities.
+type bigSum struct {
+	acc           *big.Float
+	nan, pos, neg bool
+}
+
+func (s *bigSum) add(x float64) {
+	switch {
+	case math.IsNaN(x):
+		s.nan = true
+	case math.IsInf(x, 1):
+		s.pos = true
+	case math.IsInf(x, -1):
+		s.neg = true
+	default:
+		if s.acc == nil {
+			s.acc = new(big.Float).SetPrec(4096) // holds any float64 sum exactly
+		}
+		s.acc.Add(s.acc, new(big.Float).SetFloat64(x))
+	}
+}
+
+// round is the sum rounded once to the nearest float64 under IEEE 754's
+// rules; an exact zero reads +0.
+func (s *bigSum) round() float64 {
+	switch {
+	case s.nan || (s.pos && s.neg):
+		return math.NaN()
+	case s.pos:
+		return math.Inf(1)
+	case s.neg:
+		return math.Inf(-1)
+	case s.acc == nil || s.acc.Sign() == 0:
+		return 0
+	}
+	f, _ := s.acc.Float64()
+	return f
+}
+
 // buckets is one driver's non-empty buckets, in order: sizes, objective
 // hits per objective conjunction, target sums, and observed extremes.
 type buckets struct {
@@ -161,7 +202,7 @@ func (o *oracle) count(driver int, cuts []float64, filter []bucketing.BoolCond,
 	for k := range v {
 		v[k] = make([]float64, m)
 	}
-	sum := make([]float64, m)
+	sum := make([]bigSum, m)
 	lo, hi := make([]float64, m), make([]float64, m)
 	for i := range lo {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
@@ -181,7 +222,7 @@ func (o *oracle) count(driver int, cuts []float64, filter []bucketing.BoolCond,
 			}
 		}
 		if target >= 0 {
-			sum[i] += o.nums[target][row]
+			sum[i].add(o.nums[target][row])
 		}
 	}
 	b := &buckets{v: make([][]float64, len(objectives)), hits: make([]int, len(objectives))}
@@ -192,7 +233,7 @@ func (o *oracle) count(driver int, cuts []float64, filter []bucketing.BoolCond,
 		b.n += u[i]
 		b.u = append(b.u, u[i])
 		b.lo, b.hi = append(b.lo, lo[i]), append(b.hi, hi[i])
-		b.sum = append(b.sum, sum[i])
+		b.sum = append(b.sum, sum[i].round())
 		for k := range objectives {
 			b.v[k] = append(b.v[k], v[k][i])
 			b.hits[k] += int(v[k][i])
@@ -663,9 +704,8 @@ func (o *oracle) mineAll2D(opt Options2D) *Result2D {
 }
 
 // edgeRelation holds the oracle's edge cases in one relation of 39768
-// rows — above the counting kernel's split floor, so an integer-exact
-// scan row-chunks across workers and a target-sum scan splits each
-// batch across them:
+// rows — above the counting kernel's split floor, so every counting
+// scan, target sums included, row-chunks across workers:
 //   - X is integer-valued with 30% of rows at 7, so many rows sit
 //     exactly on cut points and runs of equal cuts leave empty buckets;
 //     every 13th X is NaN, and rare rows are ±Inf;

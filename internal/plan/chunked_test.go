@@ -12,8 +12,8 @@ import (
 	"optrule/internal/relation"
 )
 
-// The row-chunked general kernel counts every integer-exact schedule,
-// the MineAll shape included. The tests below pin it on every storage
+// The row-chunked general kernel counts every schedule, the MineAll
+// shape and target sums included. The tests below pin it on every storage
 // layout a parallel counting scan must handle — sharded, v2 block
 // groups, v3 zone-map pushdown, a clustered v3 file with maximal
 // chunk-cost skew — with one bit-identity demand: the default
@@ -74,7 +74,7 @@ func checkChunkedKernel(t *testing.T, rel relation.Relation, d Defaults, queries
 
 // sameAsMultiCount requires every group in set to equal what
 // bucketing.MultiCount counts over the same boundaries and options,
-// float target sums included.
+// rounded target sums included.
 func sameAsMultiCount(t *testing.T, rel relation.Relation, set *StatsSet) {
 	t.Helper()
 	for k, s := range set.Groups {
@@ -183,8 +183,8 @@ func TestChunkedKernelV2Aligned(t *testing.T) {
 
 // TestChunkedKernelMatchesMultiCount pins the chunked scan over an
 // in-memory relation with NaN drivers, negated objectives, and (in a
-// second schedule) float target sums, which keep one segment at any
-// PEs and stay bit-identical to MultiCount's serial sums.
+// second schedule) non-integer target sums, which row-chunk like any
+// tally and stay bit-identical to MultiCount's one-pass sums.
 func TestChunkedKernelMatchesMultiCount(t *testing.T) {
 	rel := relation.MustNewMemoryRelation(relation.Schema{
 		{Name: "A", Kind: relation.Numeric},
@@ -216,7 +216,7 @@ func TestChunkedKernelMatchesMultiCount(t *testing.T) {
 		{Op: OpAverage, Numeric: "A", Target: "T"},
 		{Op: OpAverage, Numeric: "B", Target: "T"},
 	}
-	checkChunkedKernel(t, rel, d, targets, []int{16})
+	checkChunkedKernel(t, rel, d, targets, []int{2, 7, 16})
 }
 
 // TestChunkedKernelFilterPushdownOverV3 pins per-chunk pruned scans: a
@@ -377,13 +377,9 @@ func TestChunkedKernelClusteredShardedPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Add(r)
-	var groups []*GroupNeed
-	for _, k := range req.GroupOrder {
-		groups = append(groups, req.Groups[k])
-	}
 	for _, procs := range []int{2, 3, 8} {
 		withProcs(procs, func() {
-			if pes := scanParallelism(rel, d, groups, n); pes != procs {
+			if pes := scanParallelism(rel, d, n); pes != procs {
 				t.Errorf("GOMAXPROCS=%d: default segmentation %d, want %d", procs, pes, procs)
 			}
 		})

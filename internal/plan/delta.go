@@ -68,11 +68,13 @@ func resampleBudget(sampleFactor int) float64 {
 //   - Surviving groups and grids are completed by ONE fused counting
 //     scan over just the tail — reusing the general kernel, the common-
 //     filter zone-map pushdown, and the cost-balanced chunk planner —
-//     and advanced to generation gen by integer-exact folds. Float
-//     target sums are stripped by the fold (their accumulation order is
-//     observable); the next average query recounts them serially and
-//     merges them back, keeping every extracted rule bit-identical to a
-//     cold rebuild over the same boundaries.
+//     and advanced to generation gen by integer-exact folds. Target
+//     sums are stripped by the fold: the cache holds them rounded, and
+//     adding two rounded sums can differ from rounding the exact total.
+//     The next average query recounts them over the full relation,
+//     row-chunked like any scan, and merges them back, keeping every
+//     extracted rule bit-identical to a cold rebuild over the same
+//     boundaries.
 //
 // Relations that cannot scan ranges fall back to invalidation. The
 // caller (the session layer) must serialize RunDelta against batch
@@ -298,13 +300,13 @@ func needFromCachedGroup(gk GroupKey, s *Stats1D) (*GroupNeed, error) {
 
 // countTail is countGeneral clipped to the appended tail [start, end):
 // same fused kernel, same pushdown, same cost-balanced chunk plan with
-// every chunk intersected against the tail. All tail tallies are
-// integer-exact (the reconstructed needs carry no float targets), so
-// segmentation cannot perturb the folded statistics.
+// every chunk intersected against the tail. Every tally merges exactly,
+// so segmentation cannot perturb the folded statistics; the
+// reconstructed needs carry no target sums, which the fold strips.
 func countTail(ctx context.Context, rel relation.Relation, rs relation.RangeScanner,
 	d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
 	chunks := []relation.ScanChunk{{Start: start, End: end}}
-	pes := scanParallelism(rel, d, groups, end-start)
+	pes := scanParallelism(rel, d, end-start)
 	if pes > 1 {
 		// Clip the full-relation chunk plan to the tail; chunks entirely
 		// before start drop out, the straddling chunk shrinks.

@@ -6,13 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/region"
 	"optrule/internal/relation"
+	"optrule/internal/stats"
 )
 
 // AttrRNG derives the deterministic random stream for one numeric
@@ -146,23 +146,15 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 }
 
 // scanParallelism picks the counting scan's row segment count
-// (Algorithm 3.2) for a scan over rows rows. An integer-exact schedule
-// segments by default into runtime.GOMAXPROCS(0) row chunks, because
-// its counts and extremes merge exactly in chunk order; Defaults.PEs
-// overrides the default (1 forces one segment, N > 1 sets N). Scans
-// below splitRowFloor default to one segment, so small delta tails pay
-// no goroutine hand-offs. Groups accumulating float target sums force
-// one segment, because merging float partials would make totals depend
-// on segmentation. One segment does not mean one core: the general
-// kernel's single-segment scan splits each batch across every core
-// (execState.useCores) with one writer per accumulator, so it stays
-// bit-identical to a one-core scan.
-func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, rows int) int {
-	for _, g := range groups {
-		if len(g.Targets) > 0 {
-			return 1
-		}
-	}
+// (Algorithm 3.2) for a scan over rows rows of a RangeScanner: by
+// default runtime.GOMAXPROCS(0) row chunks, one per core, because every
+// tally merges exactly — counts and extremes as integers and min/max,
+// target sums through exact accumulators — so the published statistics
+// do not depend on segmentation. Defaults.PEs overrides the default (1
+// runs one segment on one core, N > 1 sets N). Scans below
+// splitRowFloor default to one segment, so small delta tails pay no
+// goroutine hand-offs.
+func scanParallelism(rel relation.Relation, d Defaults, rows int) int {
 	if _, ok := rel.(relation.RangeScanner); !ok {
 		return 1
 	}
@@ -176,12 +168,12 @@ func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, row
 // countScan runs the fused counting scan for the scheduled groups and
 // pairs and stores the results in set.
 func countScan(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed) error {
-	// Scatter-gather path: enabled workers, integer-exact schedule. The
-	// worker-count-0 default takes the existing executors untouched.
-	if useScatter(rel, d, groups) {
+	// Scatter-gather path: enabled workers. The worker-count-0 default
+	// takes the row-chunked executor.
+	if useScatter(rel, d) {
 		return countScatter(ctx, rel, d, set, groups, pairs)
 	}
-	pes := scanParallelism(rel, d, groups, rel.NumTuples())
+	pes := scanParallelism(rel, d, rel.NumTuples())
 	return countGeneral(ctx, rel, set, groups, pairs, pes)
 }
 
@@ -204,26 +196,24 @@ func (s *StatsSet) boundsOf(k BoundKey) (bucketing.Boundaries, error) {
 // effective-index pass: eff[row] is the row's bucket index with
 // masked-out and NaN-driver rows redirected to the trash slot m, so
 // every group sharing the combination tallies with branch-free
-// scatter loops. nans counts the batch's masked-in NaN-driver rows,
-// summed from the row workers' nanPart slots after the prep barrier.
+// scatter loops. nans counts the batch's masked-in NaN-driver rows.
 type effCombo struct {
 	loc     int // locate task index
 	maskIdx int // distinct filter index, -1 when unfiltered
 	m       int // bucket count; also the trash slot
 
-	eff     []int32
-	nanPart []int // per row worker
-	nans    int
+	eff  []int32
+	nans int
 }
 
 // splitRowFloor is the scan size below which the general kernel runs
-// one worker: about four batches, so a small delta tail pays no
+// one segment: about four batches, so a small delta tail pays no
 // goroutine hand-offs.
 const splitRowFloor = 4 * relation.DefaultBatchSize
 
-// execState is one scan's private tally state. Within each batch it
-// runs in two phases on workers goroutines (see countBatch); with one
-// worker both phases run inline, which is the serial scan.
+// execState is the private tally state of one row range — a scan
+// chunk or a scatter task — filled one batch at a time by countBatch
+// on the range's worker.
 type execState struct {
 	numPos  map[int]int // attr -> position in cols.Numeric
 	boolPos map[int]int // attr -> position in cols.Bool
@@ -240,9 +230,6 @@ type execState struct {
 
 	groups []*groupState
 	pairs  []*pairState
-
-	workers int     // row workers per batch; 1 is the serial scan
-	tallies [][]int // per tally worker: owned units, groups then pairs offset by len(groups)
 }
 
 type groupState struct {
@@ -257,10 +244,12 @@ type groupState struct {
 	// the vectorized kernel scatters masked-out and NaN-driver rows
 	// into, so its inner loops carry no per-row branch. publish slices
 	// the padding back off; merge folds it along with the real slots.
+	// Target sums accumulate exactly and round once at publish, so
+	// they merge in any order.
 	total, nans int
 	u           []int
-	v           [][]int     // need.Bools order
-	sum         [][]float64 // need.Targets order
+	v           [][]int            // need.Bools order
+	sum         []*stats.ExactSums // need.Targets order
 	minv, maxv  []float64
 	boolCol     []int
 	boolWant    []bool
@@ -330,8 +319,7 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 	return cols, numPos, boolPos
 }
 
-// newExecState builds one scan's tally state on one worker (useCores
-// widens it).
+// newExecState builds the tally state of one row range.
 func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 	numPos, boolPos map[int]int) (*execState, error) {
 	st := &execState{numPos: numPos, boolPos: boolPos}
@@ -395,7 +383,7 @@ func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 			gs.boolWant = append(gs.boolWant, bc.Want)
 		}
 		for _, t := range g.Targets {
-			gs.sum = append(gs.sum, make([]float64, m+1))
+			gs.sum = append(gs.sum, stats.NewExactSums(m+1))
 			gs.targetCol = append(gs.targetCol, numPos[t])
 		}
 		if g.TrackExtremes {
@@ -445,69 +433,7 @@ func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 		}
 		st.pairs = append(st.pairs, ps)
 	}
-	st.setWorkers(1)
 	return st, nil
-}
-
-// setWorkers fixes the scan's worker count and, with it, which worker
-// owns each tally in the statistic-split phase. Units are dealt
-// largest first to the least-loaded worker, priced by a rough per-row
-// cost: one per scatter loop, two per extreme pair, plus a fixed
-// per-tally overhead; a pair grid, whose tallies stride a larger cell
-// array, prices at about twice a group with three objectives. The
-// assignment is deterministic and never changes mid-scan. Workers left
-// without a unit are dropped from the tally phase.
-func (st *execState) setWorkers(workers int) {
-	st.workers = workers
-	for _, c := range st.combos {
-		c.nanPart = make([]int, workers)
-	}
-	costs := make([]int, 0, len(st.groups)+len(st.pairs))
-	for _, gs := range st.groups {
-		c := 3 + len(gs.v) + len(gs.sum)
-		if gs.minv != nil {
-			c += 2
-		}
-		costs = append(costs, c)
-	}
-	for range st.pairs {
-		costs = append(costs, 12)
-	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return costs[order[i]] > costs[order[j]] })
-	load := make([]int, workers)
-	owned := make([][]int, workers)
-	for _, u := range order {
-		w := 0
-		for k := range load {
-			if load[k] < load[w] {
-				w = k
-			}
-		}
-		load[w] += costs[u]
-		owned[w] = append(owned[w], u)
-	}
-	st.tallies = st.tallies[:0]
-	for _, units := range owned {
-		if len(units) > 0 {
-			sort.Ints(units)
-			st.tallies = append(st.tallies, units)
-		}
-	}
-}
-
-// useCores spreads each batch of a scan over rows rows across
-// runtime.GOMAXPROCS(0) workers. Scans below splitRowFloor stay on one
-// worker. Only a scan that is the sole counting scan in flight should
-// call it: row-chunk and scatter-gather workers already run one scan
-// per core.
-func (st *execState) useCores(rows int) {
-	if w := runtime.GOMAXPROCS(0); w > 1 && rows >= splitRowFloor {
-		st.setWorkers(w)
-	}
 }
 
 // fanOut runs fn(0..k-1), on k-1 fresh goroutines plus the caller, and
@@ -529,46 +455,23 @@ func fanOut(k int, fn func(w int)) {
 	wg.Wait()
 }
 
-// countBatch tallies one batch into every group and pair in two phases
-// separated by a barrier. The row-split phase (prep) gives each worker
-// a disjoint row range: it locates bucket indices once per (attribute,
-// resolution), computes row masks once per distinct filter, and writes
-// the effective-index passes the vectorized tallies consume. The
-// statistic-split phase hands every group and pair tally to exactly
-// one worker, which runs its scatter loops over the whole batch in row
-// order. Every accumulator thus has one writer seeing rows in serial
-// order and no partial is ever merged, so the results — float target
-// sums included — are bit-identical at every worker count: every valid
-// bucket sees the same addition sequence as a row-at-a-time count.
+// countBatch tallies one batch into every group and pair. prep runs
+// the per-row maps once for the whole batch — bucket indices once per
+// (attribute, resolution), row masks once per distinct filter, and the
+// effective-index passes — and each group and pair then runs its
+// vectorized scatter loops over them.
 func (st *execState) countBatch(b *relation.Batch) {
-	n := b.Len
-	st.grow(n)
-	// Row ranges are 64-row aligned so neighbouring workers never write
-	// the same cache line.
-	step := max(((n+st.workers-1)/st.workers+63)&^63, 64)
-	rowWorkers := max((n+step-1)/step, 1)
-	fanOut(rowWorkers, func(w int) {
-		st.prep(b, w*step, min((w+1)*step, n), w)
-	})
-	for _, c := range st.combos {
-		c.nans = 0
-		for _, k := range c.nanPart[:rowWorkers] {
-			c.nans += k
-		}
+	st.grow(b.Len)
+	st.prep(b)
+	for _, gs := range st.groups {
+		st.tallyGroup(gs, b)
 	}
-	fanOut(len(st.tallies), func(w int) {
-		for _, u := range st.tallies[w] {
-			if u < len(st.groups) {
-				st.tallyGroup(st.groups[u], b)
-			} else {
-				st.tallyPair(st.pairs[u-len(st.groups)], b)
-			}
-		}
-	})
+	for _, ps := range st.pairs {
+		st.tallyPair(ps, b)
+	}
 }
 
-// grow sizes every per-row buffer for an n-row batch before the row
-// workers write their disjoint ranges of it.
+// grow sizes every per-row buffer for an n-row batch.
 func (st *execState) grow(n int) {
 	for t := range st.idx {
 		if cap(st.idx[t]) < n {
@@ -594,23 +497,24 @@ func (st *execState) grow(n int) {
 	}
 }
 
-// prep runs the per-row maps over rows [lo, hi) of the batch as row
-// worker w. The effective-index passes route every excluded row to a
-// trash slot, so the tallies after it carry no row-level control flow.
-func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
+// prep runs the per-row maps over the batch. The effective-index
+// passes route every excluded row to a trash slot, so the tallies
+// after it carry no row-level control flow.
+func (st *execState) prep(b *relation.Batch) {
+	n := b.Len
 	// Bucket indices once per (attribute, resolution): every group and
 	// pair sharing the boundary set shares the locate pass.
 	for t := range st.locKeys {
-		st.locB[t].LocateBatch(b.Numeric[st.locCol[t]][lo:hi], st.idx[t][lo:hi])
+		st.locB[t].LocateBatch(b.Numeric[st.locCol[t]][:n], st.idx[t][:n])
 	}
 	// Row masks once per distinct filter.
 	for f := range st.filters {
-		mask := st.masks[f][lo:hi]
+		mask := st.masks[f][:n]
 		for row := range mask {
 			mask[row] = true
 		}
 		for _, bc := range st.filters[f] {
-			col := b.Bool[st.boolPos[bc.Attr]][lo:hi]
+			col := b.Bool[st.boolPos[bc.Attr]][:n]
 			want := bc.Want
 			for row := range mask {
 				if col[row] != want {
@@ -620,8 +524,8 @@ func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 		}
 	}
 	for _, c := range st.combos {
-		eff := c.eff[lo:hi]
-		idx := st.idx[c.loc][lo:hi]
+		eff := c.eff[:n]
+		idx := st.idx[c.loc][:n]
 		trash := int32(c.m)
 		nans := 0
 		if c.maskIdx < 0 {
@@ -633,7 +537,7 @@ func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 				eff[row] = i
 			}
 		} else {
-			mask := st.masks[c.maskIdx][lo:hi]
+			mask := st.masks[c.maskIdx][:n]
 			for row, i := range idx {
 				if !mask[row] {
 					eff[row] = trash
@@ -646,14 +550,14 @@ func (st *execState) prep(b *relation.Batch, lo, hi, w int) {
 				eff[row] = i
 			}
 		}
-		c.nanPart[w] = nans
+		c.nans = nans
 	}
 	for _, ps := range st.pairs {
-		ia := st.idx[ps.locA][lo:hi]
-		ib := st.idx[ps.locB][lo:hi]
-		effCell := ps.effCell[lo:hi]
-		effA := ps.effA[lo:hi]
-		effB := ps.effB[lo:hi]
+		ia := st.idx[ps.locA][:n]
+		ib := st.idx[ps.locB][:n]
+		effCell := ps.effCell[:n]
+		effA := ps.effA[:n]
+		effB := ps.effB[:n]
 		cols := int32(ps.cols)
 		trashCell := int32(len(ps.pu) - 1)
 		trashA := int32(len(ps.minA) - 1)
@@ -717,12 +621,8 @@ func (st *execState) tallyGroup(gs *groupState, b *relation.Batch) {
 			vk[e] += d
 		}
 	}
-	for k := range gs.sum {
-		sk := gs.sum[k]
-		colt := b.Numeric[gs.targetCol[k]][:n]
-		for row, e := range eff {
-			sk[e] += colt[row]
-		}
+	for k, sk := range gs.sum {
+		sk.AddAt(eff, b.Numeric[gs.targetCol[k]][:n])
 	}
 }
 
@@ -768,10 +668,10 @@ func (st *execState) tallyPair(ps *pairState, b *relation.Batch) {
 	}
 }
 
-// merge folds other's tallies into st, padding slots included. All
-// statistics are integer counts or extremes (float sums force a
-// single-segment scan; the pair objective tallies are exact small
-// integers in float64), so the merged state matches a serial scan exactly
+// merge folds other's tallies into st, padding slots included. Every
+// fold is exact — integer counts, extremes, exact target-sum
+// accumulators, and pair objective tallies that are small integers in
+// float64 — so the merged state matches a serial scan exactly
 // regardless of segmentation.
 func (st *execState) merge(other *execState) {
 	for i, gs := range st.groups {
@@ -786,11 +686,8 @@ func (st *execState) merge(other *execState) {
 				gs.v[k][j] += og.v[k][j]
 			}
 		}
-		for k := range gs.sum {
-			for j := range gs.sum[k] {
-				//optlint:ignore floatmerge never folds a float partial: scanParallelism returns one segment for any schedule with float target sums (default row-chunking covers integer-exact schedules only), a one-chunk scan merges nothing, and useScatter rejects target schedules
-				gs.sum[k][j] += og.sum[k][j]
-			}
+		for k, sk := range gs.sum {
+			sk.Merge(og.sum[k])
 		}
 		if gs.minv != nil {
 			for j := range gs.minv {
@@ -833,8 +730,9 @@ func (st *execState) merge(other *execState) {
 
 // publish converts the final tally state into cached statistics,
 // slicing the trash slots off every padded array (with full capacity
-// caps, so no later append can reach into them) and copying the pair
-// tallies into their grids' flat backing.
+// caps, so no later append can reach into them), rounding each target
+// sum once, and copying the pair tallies into their grids' flat
+// backing.
 func (st *execState) publish(set *StatsSet) {
 	for _, gs := range st.groups {
 		var minv, maxv []float64
@@ -856,7 +754,9 @@ func (st *execState) publish(set *StatsSet) {
 			s.V[bc] = gs.v[k][:gs.m:gs.m]
 		}
 		for k, t := range gs.need.Targets {
-			s.Sum[t] = gs.sum[k][:gs.m:gs.m]
+			row := make([]float64, gs.m)
+			gs.sum[k].Round(row)
+			s.Sum[t] = row
 		}
 		set.Groups[gs.need.Key] = s
 	}
@@ -945,15 +845,13 @@ func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, gro
 // countChunks counts the rows of chunks into set on up to pes workers,
 // with the common-filter zone-map pushdown when the schedule allows
 // it. Workers claim chunks off a shared counter; each chunk tallies
-// into its own execState, and the states merge in chunk index (row)
-// order. The chunk plan and fold order are deterministic, so the
-// published integer statistics are bit-identical across worker counts,
-// placements, and steal orders. A lone chunk is the only counting scan
-// in flight, so it splits each batch across every core instead
-// (execState.useCores) and merges nothing. rs may be nil only when the
-// lone chunk spans the relation. The reported error is the first in
-// chunk order, not whichever worker failed first; cancellation is
-// observed between batches.
+// into its own execState on one core, and the states merge in chunk
+// index (row) order. Every fold is exact, so the published statistics
+// are bit-identical across worker counts, chunk plans, placements, and
+// steal orders; a lone chunk runs on one core and merges nothing. rs
+// may be nil only when the lone chunk spans the relation. The reported
+// error is the first in chunk order, not whichever worker failed
+// first; cancellation is observed between batches.
 func countChunks(ctx context.Context, rel relation.Relation, rs relation.RangeScanner, set *StatsSet,
 	groups []*GroupNeed, pairs []*PairNeed, chunks []relation.ScanChunk, pes int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
@@ -982,9 +880,6 @@ func countChunks(ctx context.Context, rel relation.Relation, rs relation.RangeSc
 					gs.total += c.End - c.Start
 				}
 				continue
-			}
-			if len(chunks) == 1 {
-				st.useCores(c.End - c.Start)
 			}
 			errs[i] = prunedOrRange(rel, rs, c.Start, c.End, cols, pred, st,
 				func(b *relation.Batch) error {

@@ -40,7 +40,7 @@ func kernelTestRelation(t *testing.T, n int) *relation.MemoryRelation {
 // — unfiltered rules with extremes, a filtered conjunctive query, an
 // average-operator target sum, and a 2-D pair — with a mix of tally
 // shapes in one general-kernel scan.
-func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults, withTargets bool) *Requirements {
+func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults) *Requirements {
 	t.Helper()
 	queries := []Query{
 		{Op: OpRules},
@@ -48,9 +48,7 @@ func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults, wi
 			Objectives: []Condition{{Attr: "C", Value: true}},
 			Conditions: []Condition{{Attr: "F", Value: true}}},
 		{Op: OpRules2D, Numeric: "X", NumericB: "Y", Objective: "C", ObjectiveValue: true},
-	}
-	if withTargets {
-		queries = append(queries, Query{Op: OpAverage, Numeric: "Y", Target: "T", MinSupport: 0.1})
+		{Op: OpAverage, Numeric: "Y", Target: "T", MinSupport: 0.1},
 	}
 	req := NewRequirements()
 	for _, q := range queries {
@@ -64,7 +62,7 @@ func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults, wi
 }
 
 // compareStatsSets requires bit-identical statistics: every 1-D group
-// field (including float target sums) and every 2-D grid cell and
+// field (including rounded target sums) and every 2-D grid cell and
 // axis extreme must match exactly.
 func compareStatsSets(t *testing.T, want, got *StatsSet) {
 	t.Helper()
@@ -116,21 +114,20 @@ func compareStatsSets(t *testing.T, want, got *StatsSet) {
 // TestVectorizedKernelMatchesReference pins the batch-vectorized
 // general counting kernel against the reference recount of the
 // brute-force oracle (oracle_test.go): statistics must be
-// bit-identical — as one segment with float target sums, and
-// segmented in parallel without them.
+// bit-identical — as one segment and segmented in parallel, target
+// sums included.
 func TestVectorizedKernelMatchesReference(t *testing.T) {
 	rel := kernelTestRelation(t, 20000)
 	for _, tc := range []struct {
-		name        string
-		pes         int
-		withTargets bool
+		name string
+		pes  int
 	}{
-		{"serial_with_target_sums", 0, true},
-		{"parallel_4pe", 4, false},
+		{"serial_with_target_sums", 0},
+		{"parallel_4pe", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5, PEs: tc.pes}
-			req := kernelBatchRequirements(t, rel, d, tc.withTargets)
+			req := kernelBatchRequirements(t, rel, d)
 			got, err := Run(rel, d, NewCache(0), req)
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,10 +17,11 @@ import (
 // reads the batch's cut points through Boundaries.Cuts, places every
 // value with a plain comparison loop (Algorithm 3.1, step 4: x belongs
 // to the first bucket whose cut is >= x), and accumulates each
-// statistic one row at a time in row order. It never calls Locate,
-// LocateBatch, or any tally kernel, so a defect in the slot tables,
-// the effective-index passes, the row split, or the chunk merge shows
-// up as a difference from it.
+// statistic one row at a time in row order — target sums exactly, in
+// math/big, rounded once. It never calls Locate, LocateBatch, any tally
+// kernel, or the exact accumulator, so a defect in the slot tables,
+// the effective-index passes, the chunk merge, or the target-sum
+// rounding shows up as a difference from it.
 
 // oracleBucket returns x's bucket under cuts. x must not be NaN.
 func oracleBucket(cuts []float64, x float64) int {
@@ -28,6 +30,46 @@ func oracleBucket(cuts []float64, x float64) int {
 		i++
 	}
 	return i
+}
+
+// oracleSum is one bucket's target sum, held exactly in math/big with
+// flags for NaN and the infinities.
+type oracleSum struct {
+	acc           *big.Float
+	nan, pos, neg bool
+}
+
+func (s *oracleSum) add(x float64) {
+	switch {
+	case math.IsNaN(x):
+		s.nan = true
+	case math.IsInf(x, 1):
+		s.pos = true
+	case math.IsInf(x, -1):
+		s.neg = true
+	default:
+		if s.acc == nil {
+			s.acc = new(big.Float).SetPrec(4096) // holds any float64 sum exactly
+		}
+		s.acc.Add(s.acc, new(big.Float).SetFloat64(x))
+	}
+}
+
+// round is the sum rounded once to the nearest float64 under IEEE 754's
+// rules; an exact zero reads +0.
+func (s *oracleSum) round() float64 {
+	switch {
+	case s.nan || (s.pos && s.neg):
+		return math.NaN()
+	case s.pos:
+		return math.Inf(1)
+	case s.neg:
+		return math.Inf(-1)
+	case s.acc == nil || s.acc.Sign() == 0:
+		return 0
+	}
+	f, _ := s.acc.Float64()
+	return f
 }
 
 // oracleRows reads every column of rel into memory, keyed by schema
@@ -84,8 +126,9 @@ func oracleSet(t *testing.T, rel relation.Relation, req *Requirements, bounds ma
 		for _, bc := range need.Bools {
 			s.V[bc] = make([]int, m)
 		}
-		for _, tgt := range need.Targets {
-			s.Sum[tgt] = make([]float64, m)
+		sums := make([][]oracleSum, len(need.Targets))
+		for k := range sums {
+			sums[k] = make([]oracleSum, m)
 		}
 	rows:
 		for row := 0; row < n; row++ {
@@ -116,8 +159,14 @@ func oracleSet(t *testing.T, rel relation.Relation, req *Requirements, bounds ma
 					s.V[bc][i]++
 				}
 			}
-			for _, tgt := range need.Targets {
-				s.Sum[tgt][i] += nums[tgt][row]
+			for j, tgt := range need.Targets {
+				sums[j][i].add(nums[tgt][row])
+			}
+		}
+		for j, tgt := range need.Targets {
+			s.Sum[tgt] = make([]float64, m)
+			for i := range sums[j] {
+				s.Sum[tgt][i] = sums[j][i].round()
 			}
 		}
 		set.Groups[k] = s
@@ -174,7 +223,7 @@ func oracleSet(t *testing.T, rel relation.Relation, req *Requirements, bounds ma
 
 // requireOracle fails unless got is reflect.DeepEqual to the oracle's
 // recount of req over rel with got's own boundaries — every count,
-// extreme, and float target sum bit for bit.
+// extreme, and rounded target sum bit for bit.
 func requireOracle(t *testing.T, rel relation.Relation, req *Requirements, got *StatsSet) {
 	t.Helper()
 	want := oracleSet(t, rel, req, got.Bounds)
@@ -189,8 +238,7 @@ func requireOracle(t *testing.T, rel relation.Relation, req *Requirements, got *
 
 // edgeRelation holds the oracle's edge cases in one relation of
 // splitRowFloor+7000 rows, large enough that the default segmentation
-// row-chunks integer-exact scans and a target-sum scan splits each
-// batch across workers:
+// row-chunks every scan:
 //   - X is integer-valued with 30% of rows at 7, so many rows sit
 //     exactly on cut points and runs of equal cuts leave empty buckets;
 //     every 13th X is NaN, and rare rows are ±Inf;
@@ -238,8 +286,8 @@ func edgeRelation(t *testing.T) *relation.MemoryRelation {
 
 // TestKernelOracleEdgeCases runs the edge-case relation through the
 // counting scan at one and several workers, as an integer-exact
-// schedule (row-chunked) and as a target-sum schedule (one segment,
-// split within each batch), and requires the oracle's statistics.
+// schedule and as a schedule with target sums — both row-chunked into
+// one chunk per core — and requires the oracle's statistics.
 func TestKernelOracleEdgeCases(t *testing.T) {
 	rel := edgeRelation(t)
 	never := []Condition{{Attr: "Never", Value: true}}
@@ -270,16 +318,8 @@ func TestKernelOracleEdgeCases(t *testing.T) {
 					}
 					req.Add(r)
 				}
-				var groups []*GroupNeed
-				for _, k := range req.GroupOrder {
-					groups = append(groups, req.Groups[k])
-				}
-				want := procs
-				if tc.name == "target-sums" {
-					want = 1
-				}
-				if pes := scanParallelism(rel, d, groups, rel.NumTuples()); pes != want {
-					t.Fatalf("%s at GOMAXPROCS=%d: %d segments, want %d", tc.name, procs, pes, want)
+				if pes := scanParallelism(rel, d, rel.NumTuples()); pes != procs {
+					t.Fatalf("%s at GOMAXPROCS=%d: %d segments, want %d", tc.name, procs, pes, procs)
 				}
 				set, err := Run(rel, d, NewCache(0), req)
 				if err != nil {

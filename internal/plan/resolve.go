@@ -37,11 +37,9 @@ type Defaults struct {
 	ExactDomainLimit int
 	Seed             int64
 	// PEs sets the counting scan's row segmentation (Algorithm 3.2);
-	// see scanParallelism. 0 segments integer-exact scans of at least
-	// splitRowFloor rows into runtime.GOMAXPROCS(0) chunks, 1 forces one
-	// segment, N > 1 sets N. Schedules with float target sums always
-	// take one segment, which uses every core inside each batch
-	// regardless (execState.useCores).
+	// see scanParallelism. 0 segments scans of at least splitRowFloor
+	// rows into runtime.GOMAXPROCS(0) chunks, one per core; 1 runs one
+	// segment on one core; N > 1 sets N.
 	PEs int
 	// Scatter enables the fault-tolerant scatter-gather counting
 	// executor (scatter.go). The zero value keeps the serial/segmented

@@ -15,10 +15,9 @@ import (
 // is split at shard boundaries (storage-aligned segments on unsharded
 // backends), scattered one-task-per-shard across a pool of workers,
 // and the partial tallies are gathered and merged exactly. The merge
-// is bit-exact because a scattered schedule carries only integer
-// counts and extremes (float target sums force the single-segment
-// path — see scanParallelism), so mined rules are identical to a
-// single-node run
+// is bit-exact because every tally folds exactly — integer counts,
+// extremes, and target sums held in exact accumulators that round once
+// at publish — so mined rules are identical to a single-node run
 // REGARDLESS of worker count, task placement, retries, or which
 // failure path produced each partial.
 //
@@ -159,19 +158,12 @@ func (sc ScatterConfig) withDefaults() ScatterConfig {
 }
 
 // useScatter reports whether the scatter-gather coordinator should run
-// this counting scan: workers enabled, an integer-exact schedule
-// (float target sums stay in one segment so their addition order never
-// depends on segmentation — the scanParallelism rule), and a
-// range-scannable,
-// non-empty relation.
-func useScatter(rel relation.Relation, d Defaults, groups []*GroupNeed) bool {
+// this counting scan: workers enabled and a range-scannable, non-empty
+// relation. Every schedule qualifies, target sums included, because
+// every partial merges exactly.
+func useScatter(rel relation.Relation, d Defaults) bool {
 	if d.Scatter.Workers <= 0 {
 		return false
-	}
-	for _, g := range groups {
-		if len(g.Targets) > 0 {
-			return false
-		}
 	}
 	if _, ok := rel.(relation.RangeScanner); !ok {
 		return false
@@ -347,8 +339,8 @@ func countScatter(ctx context.Context, rel relation.Relation, d Defaults, set *S
 		partials[t.idx] = p
 	}
 
-	// Gather: merge in fixed task order. Integer-exact statistics make
-	// the fold independent of which worker produced which partial.
+	// Gather: merge in fixed task order. Exact folds make the result
+	// independent of which worker produced which partial.
 	total := partials[0]
 	for _, p := range partials[1:] {
 		total.Merge(p)

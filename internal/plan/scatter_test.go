@@ -39,13 +39,16 @@ func scatterFixture(t *testing.T, n, shards int) (*relation.ShardedRelation, Def
 }
 
 // scatterQueries is a mixed schedule: every numeric driver's 1-D
-// groups (with a Boolean filter variant) plus one 2-D pair grid.
+// groups (with a Boolean filter variant), one 2-D pair grid, and an
+// average query whose non-integer target sums (Balance per Age bucket)
+// only merge exactly through their exact accumulators.
 func scatterQueries() []Query {
 	return []Query{
 		{Op: OpRules, Objective: "CardLoan", ObjectiveValue: true},
 		{Op: OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: true,
 			Conditions: []Condition{{Attr: "AutoWithdraw", Value: true}}},
 		{Op: OpRules2D, Numeric: "Balance", NumericB: "Age", Objective: "CardLoan", ObjectiveValue: true},
+		{Op: OpAverage, Numeric: "Age", Target: "Balance", MinSupport: 0.1},
 	}
 }
 
@@ -65,8 +68,9 @@ func runSchedule(t *testing.T, rel relation.Relation, d Defaults, queries []Quer
 }
 
 // sameStats requires field-exact equality of the materialized
-// statistics — counts, extremes, filter variants, and pair grids. The
-// scatter-gather merge is integer-exact, so "close" is not enough.
+// statistics — counts, extremes, target sums, filter variants, and
+// pair grids. The scatter-gather merge is exact, so "close" is not
+// enough.
 func sameStats(t *testing.T, name string, got, want *StatsSet) {
 	t.Helper()
 	if len(got.Groups) != len(want.Groups) || len(got.Pairs) != len(want.Pairs) {
@@ -121,29 +125,39 @@ func TestScatterMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-// TestScatterSerialForTargetSchedules pins the float-sum guard: a
-// schedule carrying target sums (the average operator) silently takes
-// the serial path even with workers configured — addition order must
-// never depend on segmentation — and still answers correctly.
-func TestScatterSerialForTargetSchedules(t *testing.T) {
+// TestScatterAcceptsTargetSchedules pins that a schedule carrying only
+// an average query's target sums is scattered like any other, and that
+// its sums — merged from per-shard partials in task order — equal the
+// one-segment scan's and the brute-force oracle's bit for bit at every
+// worker count.
+func TestScatterAcceptsTargetSchedules(t *testing.T) {
 	rel, d := scatterFixture(t, 3000, 3)
-	avg := []Query{{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1}}
+	avg := []Query{{Op: OpAverage, Numeric: "Age", Target: "Balance", MinSupport: 0.1}}
 	want, err := runSchedule(t, rel, d, avg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := d
-	var stats ScatterStats
-	ds.Scatter = ScatterConfig{Workers: 4, Stats: &stats}
-	got, err := runSchedule(t, rel, ds, avg)
+	req := NewRequirements()
+	r, err := Resolve(rel, d, avg[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Tasks.Load() != 0 {
-		t.Errorf("target-sum schedule was scattered (%d tasks): float merge order is not reproducible",
-			stats.Tasks.Load())
+	req.Add(r)
+	requireOracle(t, rel, req, want)
+	for _, workers := range []int{1, 2, 4} {
+		ds := d
+		var stats ScatterStats
+		ds.Scatter = ScatterConfig{Workers: workers, Stats: &stats}
+		got, err := runSchedule(t, rel, ds, avg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Tasks.Load() != 3 {
+			t.Errorf("workers=%d: target-sum schedule scattered into %d tasks, want one per shard (3)",
+				workers, stats.Tasks.Load())
+		}
+		sameStats(t, "avg", got, want)
 	}
-	sameStats(t, "avg", got, want)
 }
 
 // flakyWorker fails its first failures calls, then delegates — the

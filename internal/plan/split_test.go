@@ -11,10 +11,10 @@ import (
 	"optrule/internal/relation"
 )
 
-// splitBatchRequirements resolves the split-kernel schedule: unfiltered
-// and filtered groups, float target sums (one over the NaN-holed
-// driver X), tracked extremes, and two pair grids — every tally shape
-// the general kernel serves.
+// splitBatchRequirements resolves a schedule with every tally shape
+// the general kernel serves: unfiltered and filtered groups, target
+// sums (one over the NaN-holed driver X), tracked extremes, and two
+// pair grids.
 func splitBatchRequirements(t *testing.T, rel relation.Relation, d Defaults) *Requirements {
 	t.Helper()
 	queries := []Query{
@@ -46,11 +46,11 @@ func withProcs(procs int, fn func()) {
 	fn()
 }
 
-// TestSplitKernelBitIdenticalAcrossWorkers pins the two-phase split of
-// the general counting kernel: one mixed schedule over a relation
-// above the split floor publishes a StatsSet reflect.DeepEqual to the
-// brute-force oracle's at every worker count — float target sums and
-// extremes included.
+// TestSplitKernelBitIdenticalAcrossWorkers pins the row-chunked general
+// counting kernel across worker counts: one mixed schedule over a
+// relation above the split floor, chunked once per core, publishes a
+// StatsSet reflect.DeepEqual to the brute-force oracle's at every
+// GOMAXPROCS — target sums and extremes included.
 func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
 	rel := kernelTestRelation(t, splitRowFloor+20000)
 	d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5}
@@ -90,56 +90,6 @@ func TestSplitKernelBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSplitKernelWorkerCounts pins when the split engages: every core
-// above the row floor, one worker below it, and a tally assignment
-// that gives every group and pair exactly one owner.
-func TestSplitKernelWorkerCounts(t *testing.T) {
-	rel := kernelTestRelation(t, 2000)
-	d := Defaults{Buckets: 37, GridSide: 11, SampleFactor: 40, Seed: 5}
-	req := splitBatchRequirements(t, rel, d)
-	set, err := Run(rel, d, NewCache(0), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var groups []*GroupNeed
-	for _, k := range req.GroupOrder {
-		groups = append(groups, req.Groups[k])
-	}
-	var pairs []*PairNeed
-	for _, k := range req.PairOrder {
-		pairs = append(pairs, req.Pairs[k])
-	}
-	_, numPos, boolPos := execLayout(groups, pairs)
-	state := func(rows int) *execState {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.useCores(rows)
-		return st
-	}
-	withProcs(3, func() {
-		if st := state(splitRowFloor - 1); st.workers != 1 || len(st.tallies) != 1 {
-			t.Errorf("below the floor: %d workers, %d tally workers; want 1, 1", st.workers, len(st.tallies))
-		}
-		st := state(splitRowFloor)
-		if st.workers != 3 || len(st.tallies) != 3 {
-			t.Fatalf("at the floor: %d workers, %d tally workers; want 3, 3", st.workers, len(st.tallies))
-		}
-		owners := make([]int, len(groups)+len(pairs))
-		for _, units := range st.tallies {
-			for _, u := range units {
-				owners[u]++
-			}
-		}
-		for u, n := range owners {
-			if n != 1 {
-				t.Errorf("tally unit %d has %d owners, want 1", u, n)
-			}
-		}
-	})
-}
-
 // cancellingRelation cancels a context once its scan has delivered
 // after batches, hiding every optional scan interface so the counting
 // scan runs serially through Scan.
@@ -160,9 +110,9 @@ func (c *cancellingRelation) Scan(cols relation.ColumnSet, fn func(*relation.Bat
 	})
 }
 
-// TestSplitKernelCancelMidScan cancels the split scan between batches:
-// the run returns the context's error, and the per-batch workers are
-// all joined, so repeated cancelled runs leak no goroutine.
+// TestSplitKernelCancelMidScan cancels a counting scan between
+// batches: the run returns the context's error, and repeated cancelled
+// runs leak no goroutine.
 func TestSplitKernelCancelMidScan(t *testing.T) {
 	rel := kernelTestRelation(t, splitRowFloor+20000)
 	d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40, Seed: 5}

@@ -202,14 +202,14 @@ func (s *Stats1D) mergedWith(fresh *Stats1D) *Stats1D {
 // tail's tallies, advancing the generation to gen. Like mergedWith it
 // is copy-on-write: published statistics are read concurrently without
 // locks, so neither input is touched. All folds are integer-exact
-// (counts add; extremes take min/max) EXCEPT float target sums, whose
-// accumulation order is observable in the last bits — a folded sum
-// would differ from a cold serial recount — so Sum rows are STRIPPED:
-// the next query needing one recounts it (serially, over the full
-// relation) and merges it back in, preserving bit-identity with a cold
-// rebuild. Rows of s that tail does not carry are dropped the same way
-// (the tail scan is planned FROM s, so in practice tail carries
-// everything).
+// (counts add; extremes take min/max) EXCEPT target sums: a cached Sum
+// row is already rounded to float64, and adding two rounded sums can
+// differ in the last bits from rounding the exact total a cold recount
+// produces — so Sum rows are STRIPPED: the next query needing one
+// recounts it over the full relation and merges it back in, preserving
+// bit-identity with a cold rebuild. Rows of s that tail does not carry
+// are dropped the same way (the tail scan is planned FROM s, so in
+// practice tail carries everything).
 func (s *Stats1D) foldedWith(tail *Stats1D, gen int64) *Stats1D {
 	out := &Stats1D{
 		M: s.M, N: s.N + tail.N, Total: s.Total + tail.Total, NaNs: s.NaNs + tail.NaNs,

@@ -187,9 +187,10 @@
 //     effective-bucket arrays instead of per-tuple branching — pinned
 //     bit-identical to a brute-force oracle that recounts raw tuples
 //     with plain cut-point comparisons. On range-scanning
-//     storage an integer-exact scan is row-chunked across every core;
-//     a scan carrying average-query float sums stays one segment and
-//     splits each batch across the cores instead. When every group in
+//     storage every scan is row-chunked across the cores: counts and
+//     extremes merge as integers and min/max, and average-query target
+//     sums accumulate exactly and round once, so no partial merge can
+//     move a bit. When every group in
 //     the batch shares one conjunctive filter, the filter is pushed
 //     into the storage layer, where v3 zone maps skip whole block
 //     groups that provably contain no matching row.
@@ -224,9 +225,10 @@
 // else that grew in place) run ONE counting scan over just the
 // appended tail and fold the partial statistics into every cached
 // entry. The fold is integer-exact — counts, grids, and extremes
-// merge in fixed order; order-sensitive float sums (the average
-// operator's target sums) are stripped and recounted on next demand —
-// so a refreshed session answers bit-identically to a cold rebuild
+// merge in fixed order; the average operator's target sums, cached
+// rounded, are stripped and recounted on next demand, since adding two
+// rounded sums can miss the exact total by a rounding — so a refreshed
+// session answers bit-identically to a cold rebuild
 // over the grown relation with the same boundaries. Ingest is O(Δ),
 // not O(n): the `optbench -exp append` experiment hard-fails if a 1%
 // append costs more than 5% of a cold rebuild's counted bytes.
@@ -252,12 +254,11 @@
 // fused counting schedule is split at shard boundaries (storage-aligned
 // segments on single-file relations), each slice is dispatched as one
 // task to a pool of Workers, and the partial tallies are gathered and
-// merged. The merge is EXACT — a scattered schedule carries only
-// integer counts and extremes, never order-sensitive float sums (the
-// average operator's target sums take the single-segment scan, which
-// merges no partials) — so the
-// mined rules are bit-identical at every worker count, under every
-// placement, and after every recovery action. The zero value of
+// merged. The merge is EXACT — counts and extremes merge as integers
+// and min/max, and the average operator's target sums travel as exact
+// accumulators that round once after the gather — so the mined rules
+// are bit-identical at every worker count, under every placement, and
+// after every recovery action. The zero value of
 // Config.Scatter keeps the classic executors untouched.
 //
 // Failures escalate through three layers, and a batch completes
@@ -308,10 +309,9 @@
 //     is reproducible from its inputs.
 //   - floatmerge — functions reachable from a parallel merge entry
 //     point may not accumulate floats with +=: float addition is
-//     order-dependent, so merged tallies stay integer-exact. Float
-//     target sums take the single-segment path, whose kernel splits
-//     the statistics (not the rows) across cores: each sum has one
-//     writer adding rows in scan order, and no float is ever merged.
+//     order-dependent, so merged tallies stay exact. Target sums
+//     accumulate in stats.ExactSums, whose int64 limbs merge by
+//     integer addition and round to float64 once, at publish.
 //   - bytecount — raw file reads in internal/relation live only in
 //     countio.go, whose helpers charge Stats.BytesRead; every other
 //     read goes through them, keeping the cost model honest.
